@@ -8,6 +8,7 @@ from .crystal import (
     CrystalGraph,
     apply_e,
     apply_f,
+    apply_word,
     check_stembridge_axioms,
     generate,
     graph_from_json,
@@ -32,8 +33,6 @@ from .keymap import (
     minimal_fiber_elements,
 )
 from .poset import (
-    Interval,
-    MobiusCache,
     euler_mobius,
     find_move_path,
     free_interval,
@@ -41,6 +40,7 @@ from .poset import (
     interval_mobius,
     minimal_upper_bounds,
     mobius,
+    mobius_from,
     non_stembridge_witness,
     saturated_chains,
     stembridge_components,

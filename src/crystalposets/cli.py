@@ -20,6 +20,7 @@ import sys
 from . import keymap, poset, scenarios, weyl
 from .crystal import (
     DEFAULT_VERTEX_CAP,
+    CrystalGraph,
     GraphSizeError,
     generate,
     graph_to_dot,
@@ -92,12 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="run one scenario family, e.g. s2")
     p.add_argument("--n-max", type=int, default=5,
                    help="largest two-row parameter for the chain scenario (max 6)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("human", "json"), default="human")
     return parser
 
 
-def _interval_or_fail(args) -> poset.Interval:
+def _interval_or_fail(args) -> CrystalGraph:
     shape = _parse_shape(args.shape)
     u = tableau_from_string(args.u, args.n)
     v = tableau_from_string(args.v, args.n)
@@ -168,6 +168,8 @@ def _cmd_chains(args) -> int:
 
 
 def _graph_and_keys(args):
+    if args.n > weyl.MAX_N:
+        raise ValueError(f"--n must be at most {weyl.MAX_N} for the key map, got {args.n}")
     graph = generate(_parse_shape(args.shape), args.n)
     return graph, keymap.compute_keys(graph)
 
@@ -213,9 +215,7 @@ def _cmd_demazure(args) -> int:
 def _cmd_verify(args) -> int:
     if not 3 <= args.n_max <= 6:
         raise ValueError("--n-max must be between 3 and 6")
-    certificates = scenarios.run_all(
-        n_max=args.n_max, only=args.scenario, jobs=max(1, args.jobs)
-    )
+    certificates = scenarios.run_all(n_max=args.n_max, only=args.scenario)
     if args.format == "json":
         print(scenarios.certificates_to_json(certificates))
     else:

@@ -190,30 +190,45 @@ class StringStats:
 
 @dataclass
 class CrystalGraph:
-    """Edge-colored cover graph of a tableau crystal.
+    """Edge-colored cover graph of a tableau crystal, or of an interval in one.
 
-    Vertices are indexed in generation (BFS) order, children explored in
-    increasing color order, which makes every export reproducible.  Both
-    forward and backward adjacency are kept per color so string walks are
-    O(1) per step.  ``weights`` stores the per-vertex content vectors used
-    for interval budgets; on a reversed view they are negated so that the
-    edge rule wt(target) = wt(source) - alpha_color keeps holding.
+    Vertices of a generated crystal are indexed in generation (BFS) order,
+    children explored in increasing color order, which makes every export
+    reproducible.  Both forward and backward adjacency are kept per color so
+    string walks are O(1) per step; when not passed they are built from the
+    edges, and ``index`` from the vertices.  ``weights`` stores the
+    per-vertex content vectors used for interval budgets; on a reversed view
+    they are negated so that the edge rule wt(target) = wt(source) -
+    alpha_color keeps holding.
+
+    An interval [u, v] is a graph whose ``minimum`` and ``maximum`` are u and
+    v.  Its vertices are ordered by (rank, tableau), ``budget`` holds the
+    color multiset shared by all its maximal chains, ``graph_indices`` maps
+    back to the ambient graph when one was used, and ``weights`` is empty.
     """
 
     shape: Shape | None
     n: int
     vertices: tuple[Tableau, ...]
     edges: tuple[tuple[int, int, int], ...]
-    fwd: tuple[dict[int, int], ...]
-    bwd: tuple[dict[int, int], ...]
     rank: tuple[int, ...]
-    weights: tuple[tuple[int, ...], ...]
     minimum: int | None
     maximum: int | None
-    is_dual: bool = False
-    index: dict[Tableau, int] = field(repr=False, default_factory=dict)
+    weights: tuple[tuple[int, ...], ...] = ()
+    budget: dict[int, int] | None = None
+    graph_indices: tuple[int, ...] | None = None
+    fwd: tuple[dict[int, int], ...] = field(default=(), repr=False)
+    bwd: tuple[dict[int, int], ...] = field(default=(), repr=False)
+    index: dict[Tableau, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        if not self.fwd:
+            fwd: list[dict[int, int]] = [{} for _ in self.vertices]
+            bwd: list[dict[int, int]] = [{} for _ in self.vertices]
+            for a, b, i in self.edges:
+                fwd[a][i] = b
+                bwd[b][i] = a
+            self.fwd, self.bwd = tuple(fwd), tuple(bwd)
         if not self.index:
             self.index = {t: k for k, t in enumerate(self.vertices)}
 
@@ -224,15 +239,13 @@ class CrystalGraph:
     def colors(self) -> range:
         return range(1, self.n)
 
-    def f(self, v: int, i: int) -> int | None:
-        return self.fwd[v].get(i)
-
-    def e(self, v: int, i: int) -> int | None:
-        return self.bwd[v].get(i)
+    @property
+    def span(self) -> int:
+        """Length of the longest chain: the largest rank."""
+        return max(self.rank, default=0)
 
     def rank_sizes(self) -> tuple[int, ...]:
-        span = max(self.rank) if self.rank else 0
-        sizes = [0] * (span + 1)
+        sizes = [0] * (self.span + 1)
         for r in self.rank:
             sizes[r] += 1
         return tuple(sizes)
@@ -242,21 +255,23 @@ class CrystalGraph:
 
         The result is again a valid crystal graph (the color relabeling
         that would restore the usual conventions does not matter for any
-        of the poset analytics here).
+        of the poset analytics here); the dual of an interval [u, v] is the
+        interval [v, u] of the dual graph.
         """
-        span = max(self.rank) if self.rank else 0
+        span = self.span
         return CrystalGraph(
             shape=self.shape,
             n=self.n,
             vertices=self.vertices,
             edges=tuple((b, a, i) for (a, b, i) in self.edges),
-            fwd=self.bwd,
-            bwd=self.fwd,
             rank=tuple(span - r for r in self.rank),
-            weights=tuple(tuple(-c for c in wt) for wt in self.weights),
             minimum=self.maximum,
             maximum=self.minimum,
-            is_dual=not self.is_dual,
+            weights=tuple(tuple(-c for c in wt) for wt in self.weights),
+            budget=self.budget,
+            graph_indices=self.graph_indices,
+            fwd=self.bwd,
+            bwd=self.fwd,
             index=self.index,
         )
 
@@ -350,7 +365,9 @@ class AxiomReport:
         return self.passed
 
 
-def _apply_word(graph: CrystalGraph, v: int, word: Iterable[int], direction: str) -> int | None:
+def apply_word(graph: CrystalGraph, v: int, word: Iterable[int], direction: str) -> int | None:
+    """Follow the colors of ``word`` from v along f edges (direction "f") or
+    e edges ("e"); None as soon as one is missing."""
     adj = graph.bwd if direction == "e" else graph.fwd
     cur: int | None = v
     for i in word:
@@ -409,8 +426,8 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
                 d_bi = delta(graph.bwd[b][i])
                 dd_ij = d_bi[j] - d_b[j]
                 if dd_ij == 0:
-                    x = _apply_word(graph, b, (i, j), "e")
-                    y = _apply_word(graph, b, (j, i), "e")
+                    x = apply_word(graph, b, (i, j), "e")
+                    y = apply_word(graph, b, (j, i), "e")
                     if x is None or y is None or x != y:
                         return AxiomReport(False, "P5", b, i, j, "raising square does not close")
                     fx = graph.fwd[x].get(j)
@@ -419,8 +436,8 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
                 elif dd_ij == -1:
                     d_bj = delta(graph.bwd[b][j])
                     if d_bj[i] - d_b[i] == -1:
-                        x = _apply_word(graph, b, (i, j, j, i), "e")
-                        y = _apply_word(graph, b, (j, i, i, j), "e")
+                        x = apply_word(graph, b, (i, j, j, i), "e")
+                        y = apply_word(graph, b, (j, i, i, j), "e")
                         if x is None or y is None or x != y:
                             return AxiomReport(False, "P6", b, i, j, "raising hexagon does not close")
                         r_x = rise(x)
@@ -464,20 +481,20 @@ def local_structure(graph: CrystalGraph, u: int, i: int, j: int) -> LocalStructu
     x2 = graph.fwd[v].get(j)
     if x2 is not None and x2 == graph.fwd[w].get(i):
         return LocalStructure(2, x2, ((u, v, x2), (u, w, x2)))
-    via_v = _apply_word(graph, v, (j, j, i), "f")
-    via_w = _apply_word(graph, w, (i, i, j), "f")
+    via_v = apply_word(graph, v, (j, j, i), "f")
+    via_w = apply_word(graph, w, (i, i, j), "f")
     if via_v is not None and via_v == via_w:
         # by weights, a shorter closure over v and w could only sit two
         # steps up, reached by {i,j} from one side and a repeated color
         # from the other; rule both patterns out
         for side, a, b in ((v, j, i), (w, i, j)):
             other = w if side is v else v
-            mixed = {_apply_word(graph, side, (a, b), "f"), _apply_word(graph, side, (b, a), "f")}
-            repeated = _apply_word(graph, other, (b, b), "f")
+            mixed = {apply_word(graph, side, (a, b), "f"), apply_word(graph, side, (b, a), "f")}
+            repeated = apply_word(graph, other, (b, b), "f")
             if repeated is not None and repeated in mixed:
                 raise ValueError(f"closure of length 2 coexists with degree-4 data at {u}")
-        cv = (u, v, graph.fwd[v][j], _apply_word(graph, v, (j, j), "f"), via_v)
-        cw = (u, w, graph.fwd[w][i], _apply_word(graph, w, (i, i), "f"), via_w)
+        cv = (u, v, graph.fwd[v][j], apply_word(graph, v, (j, j), "f"), via_v)
+        cw = (u, w, graph.fwd[w][i], apply_word(graph, w, (i, i), "f"), via_w)
         return LocalStructure(4, via_v, (cv, cw))
     raise ValueError(f"no degree 2 or 4 closure above vertex {u} for colors ({i}, {j})")
 
@@ -505,14 +522,20 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     """
     if isinstance(data, str):
         data = json.loads(data)
-    n = int(data["n"])
-    vertices = tuple(tuple(tuple(int(x) for x in row) for row in t) for t in data["vertices"])
+    try:
+        n = int(data["n"])
+        vertices = tuple(tuple(tuple(int(x) for x in row) for row in t) for t in data["vertices"])
+        raw_edges = [tuple(int(x) for x in e) for e in data["edges"]]
+        shape = tuple(int(p) for p in data["shape"]) if data.get("shape") else None
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed crystal graph JSON: {exc!r}") from exc
+    if any(not 1 <= x <= n for t in vertices for row in t for x in row):
+        raise ValueError(f"tableau entries must lie in 1..{n}")
     nv = len(vertices)
     fwd: list[dict[int, int]] = [{} for _ in range(nv)]
     bwd: list[dict[int, int]] = [{} for _ in range(nv)]
     edges: list[tuple[int, int, int]] = []
-    for a, b, i in data["edges"]:
-        a, b, i = int(a), int(b), int(i)
+    for a, b, i in raw_edges:
         if not (0 <= a < nv and 0 <= b < nv and 1 <= i <= n - 1):
             raise ValueError(f"edge ({a}, {b}, {i}) out of range")
         if i in fwd[a] or i in bwd[b]:
@@ -543,7 +566,6 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     if len(order) != nv:
         raise ValueError("graph has a directed cycle")
 
-    shape = tuple(int(p) for p in data["shape"]) if data.get("shape") else None
     return CrystalGraph(
         shape=shape,
         n=n,

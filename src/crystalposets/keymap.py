@@ -18,7 +18,7 @@ from itertools import combinations
 
 from . import weyl
 from .crystal import CrystalGraph
-from .poset import graph_leq
+from .poset import interval
 
 Permutation = weyl.Permutation
 
@@ -138,12 +138,12 @@ class Fiber:
 
 def fiber(graph: CrystalGraph, table: KeyTable, w: Permutation) -> Fiber:
     """All vertices with key w, their induced order, and its components."""
-    w = weyl.check_permutation(w)
+    w = weyl.check_permutation(w, graph.n)
     verts = [v for v in range(len(graph)) if table[v] == w]
     less: list[tuple[int, int]] = []
     for a, b in combinations(verts, 2):
         x, y = (a, b) if graph.rank[a] <= graph.rank[b] else (b, a)
-        if graph_leq(graph, x, y):
+        if interval(graph, x, y) is not None:
             less.append((x, y))
     lset = set(less)
     covers = []
@@ -230,7 +230,7 @@ def fiber_extremes(
 
 def demazure(graph: CrystalGraph, table: KeyTable, w: Permutation) -> frozenset[int]:
     """Vertices whose key is below w in strong Bruhat order."""
-    w = weyl.check_permutation(w)
+    w = weyl.check_permutation(w, graph.n)
     return frozenset(v for v in range(len(graph)) if weyl.strong_bruhat_leq(table[v], w))
 
 

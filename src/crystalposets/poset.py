@@ -8,80 +8,33 @@ Intervals are extracted by budgeted bidirectional search: the number of
 color-i covers on any chain from u to v is forced by the weight difference,
 so the upward search from u never leaves the per-color budget, and the
 result is intersected with the symmetric downward search from v.  An
-interval is self-contained (local indices, restricted covers), which lets
-the same machinery run on intervals of crystals far too large to generate.
+interval is itself a :class:`CrystalGraph` (local indices, restricted
+covers, its bottom and top as minimum and maximum), which lets the same
+machinery run on intervals of crystals far too large to generate.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .crystal import CrystalGraph, GraphSizeError, Tableau, apply_e, apply_f, weight
+from .crystal import (
+    CrystalGraph,
+    GraphSizeError,
+    Tableau,
+    apply_e,
+    apply_f,
+    apply_word,
+    graph_to_json,
+    weight,
+)
 
 DEFAULT_CHAIN_CAP = 10_000_000
 
 
 class ChainCapError(RuntimeError):
     """Raised when chain enumeration would exceed the configured cap."""
-
-
-@dataclass
-class Interval:
-    """A closed interval [u, v] with its restricted colored covers.
-
-    Local vertex indices are assigned by (rank, payload) so extraction is
-    deterministic; ``payloads`` carries the underlying tableaux and
-    ``graph_indices`` maps back to the ambient graph when one was used.
-    All maximal chains run from ``bottom`` to ``top`` and share the color
-    multiset recorded in ``budget``.
-    """
-
-    payloads: tuple[Tableau, ...]
-    covers: tuple[tuple[int, int, int], ...]
-    bottom: int
-    top: int
-    ranks: tuple[int, ...]
-    span: int
-    budget: dict[int, int]
-    graph_indices: tuple[int, ...] | None = None
-    fwd: tuple[dict[int, int], ...] = field(default=(), repr=False)
-    bwd: tuple[dict[int, int], ...] = field(default=(), repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.fwd:
-            f: list[dict[int, int]] = [{} for _ in self.payloads]
-            b: list[dict[int, int]] = [{} for _ in self.payloads]
-            for a, c, i in self.covers:
-                f[a][i] = c
-                b[c][i] = a
-            self.fwd = tuple(f)
-            self.bwd = tuple(b)
-
-    def __len__(self) -> int:
-        return len(self.payloads)
-
-    def up_closures(self) -> list[int]:
-        """Bitmask of {z : v <= z} per local vertex v."""
-        order = sorted(range(len(self.payloads)), key=lambda v: -self.ranks[v])
-        up = [0] * len(self.payloads)
-        for v in order:
-            mask = 1 << v
-            for w in self.fwd[v].values():
-                mask |= up[w]
-            up[v] = mask
-        return up
-
-    def down_closures(self) -> list[int]:
-        order = sorted(range(len(self.payloads)), key=lambda v: self.ranks[v])
-        down = [0] * len(self.payloads)
-        for v in order:
-            mask = 1 << v
-            for w in self.bwd[v].values():
-                mask |= down[w]
-            down[v] = mask
-        return down
 
 
 def _color_budget(wt_u: Sequence[int], wt_v: Sequence[int]) -> dict[int, int] | None:
@@ -146,7 +99,9 @@ def _build_interval(
     payload_of: Callable[[Hashable], Tableau],
     up_steps: Callable[[Hashable], Iterable[tuple[int, Hashable]]],
     graph_index_of: Callable[[Hashable], int] | None,
-) -> Interval:
+) -> CrystalGraph:
+    """The interval on ``keys``, local indices assigned by (rank, payload)
+    so that extraction is deterministic."""
     rank_of = {x: sum(usage[x].values()) for x in keys}
     ordered = sorted(keys, key=lambda x: (rank_of[x], payload_of(x)))
     local = {x: k for k, x in enumerate(ordered)}
@@ -156,20 +111,26 @@ def _build_interval(
             if y in local:
                 covers.append((local[x], local[y], i))
     covers.sort()
-    return Interval(
-        payloads=tuple(payload_of(x) for x in ordered),
-        covers=tuple(covers),
-        bottom=local[u_key],
-        top=local[v_key],
-        ranks=tuple(rank_of[x] for x in ordered),
-        span=rank_of[v_key],
+    return CrystalGraph(
+        shape=None,
+        n=len(budget) + 1,
+        vertices=tuple(payload_of(x) for x in ordered),
+        edges=tuple(covers),
+        rank=tuple(rank_of[x] for x in ordered),
+        minimum=local[u_key],
+        maximum=local[v_key],
         budget=budget,
         graph_indices=tuple(graph_index_of(x) for x in ordered) if graph_index_of else None,
+        # a free interval's keys are its tableaux, so ``local`` is its index
+        index={} if graph_index_of else local,
     )
 
 
-def interval(graph: CrystalGraph, u: int, v: int, max_vertices: int = 2_000_000) -> Interval | None:
-    """Extract [u, v] from a generated graph, or None when u is not below v."""
+def interval(
+    graph: CrystalGraph, u: int, v: int, max_vertices: int = 2_000_000
+) -> CrystalGraph | None:
+    """Extract [u, v] from a generated graph, or None when u is not below v;
+    this is also the order test."""
     budget = _color_budget(graph.weights[u], graph.weights[v])
     if budget is None:
         return None
@@ -187,7 +148,9 @@ def interval(graph: CrystalGraph, u: int, v: int, max_vertices: int = 2_000_000)
     return _build_interval(keys, usage, budget, u, v, lambda x: graph.vertices[x], up, lambda x: x)
 
 
-def free_interval(u: Tableau, v: Tableau, n: int, max_vertices: int = 2_000_000) -> Interval | None:
+def free_interval(
+    u: Tableau, v: Tableau, n: int, max_vertices: int = 2_000_000
+) -> CrystalGraph | None:
     """Extract [u, v] directly from the crystal operators, without ever
     materializing the ambient crystal; this is what makes intervals of huge
     crystals tractable."""
@@ -218,127 +181,75 @@ def free_interval(u: Tableau, v: Tableau, n: int, max_vertices: int = 2_000_000)
     return _build_interval(keys, usage, budget, u, v, lambda x: x, up, None)
 
 
-def graph_leq(graph: CrystalGraph, a: int, b: int) -> bool:
-    """Order test by budgeted upward search with early exit."""
-    if a == b:
-        return True
-    budget = _color_budget(graph.weights[a], graph.weights[b])
-    if budget is None:
-        return False
-    zero = {i: 0 for i in budget}
-    usage: dict[int, dict[int, int]] = {a: zero}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        used = usage[x]
-        for i, y in graph.fwd[x].items():
-            if used[i] + 1 > budget[i] or y in usage:
-                continue
-            if y == b:
-                return True
-            nxt = dict(used)
-            nxt[i] += 1
-            usage[y] = nxt
-            queue.append(y)
-    return False
-
-
 # -- Mobius function --------------------------------------------------------
 
-@dataclass
-class MobiusCache:
-    """Memo table for one fixed graph, keyed by (bottom, vertex) pairs."""
+def mobius_from(graph: CrystalGraph, source: int) -> list[int]:
+    """mu(source, z) for every vertex z, 0 where z is not above source, by
+    the defining recursion mu(s, z) = -sum of mu(s, y) over s <= y < z.
 
-    values: dict[tuple[int, int], int] = field(default_factory=dict)
-
-
-def interval_mobius(itv: Interval) -> int:
-    """Mobius value mu(bottom, top) by the defining recursion over the
-    extracted interval only."""
-    down = itv.down_closures()
-    mu = [0] * len(itv)
-    for z in sorted(range(len(itv)), key=lambda z: itv.ranks[z]):
-        if z == itv.bottom:
-            mu[z] = 1
-            continue
-        total = 0
-        mask = down[z] & ~(1 << z)
-        while mask:
-            bit = mask & (-mask)
-            total += mu[bit.bit_length() - 1]
-            mask ^= bit
-        mu[z] = -total
-    return mu[itv.top]
-
-
-def mobius(graph: CrystalGraph, u: int, v: int, cache: MobiusCache | None = None) -> int:
-    """mu(u, v) in the crystal poset; raises ValueError when u is not below v.
-
-    When a cache is supplied, every value mu(u, z) for z in [u, v] computed
-    along the way is recorded and reused.
+    One pass in rank order.  The down-set mask of z is the union of its
+    lower covers' masks and holds one bit per vertex y < z with nonzero
+    mu(source, y); a vertex takes the next free bit only when its own value
+    is nonzero.  Zero terms add nothing, so this is exact, and the masks
+    stay as small as the support of mu instead of growing to O(V^2) bits.
     """
-    if cache is not None and (u, v) in cache.values:
-        return cache.values[(u, v)]
+    mu = [0] * len(graph)
+    down = [0] * len(graph)
+    owner: list[int] = []  # owner[k] is the vertex holding bit k
+    for z in sorted(range(len(graph)), key=graph.rank.__getitem__):
+        mask = 0
+        for y in graph.bwd[z].values():
+            mask |= down[y]
+        if z == source:
+            value = 1
+        else:
+            value = 0
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                value -= mu[owner[bit.bit_length() - 1]]
+                rest ^= bit
+        if value:
+            mask |= 1 << len(owner)
+            owner.append(z)
+        mu[z] = value
+        down[z] = mask
+    return mu
+
+
+def interval_mobius(itv: CrystalGraph) -> int:
+    """Mobius value mu(bottom, top) over the extracted interval only."""
+    return mobius_from(itv, itv.minimum)[itv.maximum]
+
+
+def mobius(graph: CrystalGraph, u: int, v: int) -> int:
+    """mu(u, v) in the crystal poset; raises ValueError when u is not below v."""
     itv = interval(graph, u, v)
     if itv is None:
         raise ValueError(f"vertex {u} is not below {v}")
-    if cache is None:
-        return interval_mobius(itv)
-    down = itv.down_closures()
-    mu_local = [0] * len(itv)
-    for z in sorted(range(len(itv)), key=lambda z: itv.ranks[z]):
-        g = itv.graph_indices[z] if itv.graph_indices else z
-        if (u, g) in cache.values:
-            mu_local[z] = cache.values[(u, g)]
-            continue
-        if z == itv.bottom:
-            mu_local[z] = 1
-        else:
-            total = 0
-            mask = down[z] & ~(1 << z)
-            while mask:
-                bit = mask & (-mask)
-                total += mu_local[bit.bit_length() - 1]
-                mask ^= bit
-            mu_local[z] = -total
-        cache.values[(u, g)] = mu_local[z]
-    return mu_local[itv.top]
+    return interval_mobius(itv)
 
 
 def lower_mobius_all(graph: CrystalGraph) -> list[int]:
     """mu(minimum, x) for every vertex x, in one pass over the whole graph."""
     if graph.minimum is None:
         raise ValueError("graph has no unique minimum")
-    order = sorted(range(len(graph)), key=lambda v: graph.rank[v])
-    down = [0] * len(graph)
-    mu = [0] * len(graph)
-    for v in order:
-        mask = 1 << v
-        for u in graph.bwd[v].values():
-            mask |= down[u]
-        down[v] = mask
-        if v == graph.minimum:
-            mu[v] = 1
-            continue
-        total = 0
-        rest = mask & ~(1 << v)
-        while rest:
-            bit = rest & (-rest)
-            total += mu[bit.bit_length() - 1]
-            rest ^= bit
-        mu[v] = -total
-    return mu
+    return mobius_from(graph, graph.minimum)
 
 
-def euler_mobius(itv: Interval) -> int:
+def euler_mobius(itv: CrystalGraph) -> int:
     """Reduced Euler characteristic of the order complex of the open
     interval, by counting chains of every size; an independent cross-check
     of :func:`interval_mobius`.
     """
     if itv.span < 1:
         raise ValueError("Euler cross-check needs an interval of rank at least 1")
-    inner = [z for z in range(len(itv)) if z not in (itv.bottom, itv.top)]
-    down = itv.down_closures()
+    inner = [z for z in range(len(itv)) if z not in (itv.minimum, itv.maximum)]
+    down = [0] * len(itv)  # bitmask of {y : y <= z}
+    for z in sorted(range(len(itv)), key=itv.rank.__getitem__):
+        down[z] = 1 << z
+        for y in itv.bwd[z].values():
+            down[z] |= down[y]
     # chains_by_size[z] = number of chains in the open interval ending at z,
     # indexed by size; build up one extra element at a time
     result = -1
@@ -371,15 +282,15 @@ class SaturatedChain:
     labels: tuple[int, ...]
 
 
-def saturated_chains(itv: Interval, cap: int = DEFAULT_CHAIN_CAP) -> list[SaturatedChain]:
+def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[SaturatedChain]:
     """All maximal chains from bottom to top, depth-first in increasing
     color order (hence deterministic)."""
     chains: list[SaturatedChain] = []
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((itv.bottom,), ())]
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((itv.minimum,), ())]
     while stack:
         verts, labels = stack.pop()
         last = verts[-1]
-        if last == itv.top:
+        if last == itv.maximum:
             chains.append(SaturatedChain(verts, labels))
             if len(chains) > cap:
                 raise ChainCapError(f"chain cap {cap} exceeded")
@@ -390,7 +301,7 @@ def saturated_chains(itv: Interval, cap: int = DEFAULT_CHAIN_CAP) -> list[Satura
     return chains
 
 
-def stembridge_moves(chain: SaturatedChain, itv: Interval) -> list[tuple[int, SaturatedChain]]:
+def stembridge_moves(chain: SaturatedChain, itv: CrystalGraph) -> list[tuple[int, SaturatedChain]]:
     """All chains obtainable from ``chain`` by one move: swap a length-2
     segment when the square with transposed colors closes at the same
     endpoints, or a length-4 segment with color pattern (a, b, b, a) when
@@ -432,7 +343,7 @@ def stembridge_moves(chain: SaturatedChain, itv: Interval) -> list[tuple[int, Sa
 
 
 def stembridge_components(
-    itv: Interval, cap: int = DEFAULT_CHAIN_CAP
+    itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP
 ) -> tuple[list[SaturatedChain], list[list[int]]]:
     """Connected components of the move graph on all saturated chains.
 
@@ -462,7 +373,7 @@ def stembridge_components(
 
 
 def find_move_path(
-    itv: Interval,
+    itv: CrystalGraph,
     start: SaturatedChain,
     goal: SaturatedChain,
     cap: int = DEFAULT_CHAIN_CAP,
@@ -540,48 +451,28 @@ class Witness:
     minimal_upper_bounds: tuple[int, ...]
 
 
-def _closes_locally(itv: Interval, b: int, i: int, c: int, j: int, z: int) -> bool:
+def _closes_locally(itv: CrystalGraph, b: int, i: int, c: int, j: int, z: int) -> bool:
     """Does z top off the square or the hexagon over the covers b (color i)
     and c (color j)?  Convexity makes the interval-restricted test agree
     with the ambient one whenever z lies in the interval."""
     if itv.fwd[b].get(j) == z and itv.fwd[c].get(i) == z:
         return True
-
-    def walk(start: int, word: tuple[int, ...]) -> int | None:
-        cur: int | None = start
-        for color in word:
-            if cur is None:
-                return None
-            cur = itv.fwd[cur].get(color)
-        return cur
-
-    return walk(b, (j, j, i)) == z and walk(c, (i, i, j)) == z
+    return apply_word(itv, b, (j, j, i), "f") == z and apply_word(itv, c, (i, i, j), "f") == z
 
 
-def non_stembridge_witness(itv: Interval) -> Witness | None:
+def non_stembridge_witness(itv: CrystalGraph) -> Witness | None:
     """Search the interval for a covering pair certifying a relation among
     the operators beyond the square/hexagon ones: either no least upper
     bound inside the interval, or a least upper bound that the local
     degree-2/degree-4 configurations do not produce.
     """
-    up = itv.up_closures()
-    order = sorted(range(len(itv)), key=lambda z: (itv.ranks[z], z))
-    for base in order:
+    for base in sorted(range(len(itv)), key=lambda z: (itv.rank[z], z)):
         colors = sorted(itv.fwd[base])
         for s in range(len(colors)):
             for t in range(s + 1, len(colors)):
                 i, j = colors[s], colors[t]
                 b, c = itv.fwd[base][i], itv.fwd[base][j]
-                common = up[b] & up[c]
-                mubs = []
-                mask = common
-                while mask:
-                    bit = mask & (-mask)
-                    z = bit.bit_length() - 1
-                    mask ^= bit
-                    if not any(common >> p & 1 for p in itv.bwd[z].values()):
-                        mubs.append(z)
-                mubs.sort()
+                mubs = minimal_upper_bounds(itv, b, c)
                 if len(mubs) >= 2:
                     return Witness("non_unique", base, b, c, tuple(mubs))
                 if mubs and not _closes_locally(itv, b, i, c, j, mubs[0]):
@@ -591,17 +482,15 @@ def non_stembridge_witness(itv: Interval) -> Witness | None:
 
 # -- serialization ----------------------------------------------------------
 
-def interval_to_json(itv: Interval) -> dict:
-    """Same schema as the crystal graph export, plus bottom/top markers."""
-    return {
-        "n": len(itv.budget) + 1,
-        "vertices": [[list(row) for row in t] for t in itv.payloads],
-        "edges": [list(e) for e in itv.covers],
-        "rank": list(itv.ranks),
-        "bottom": itv.bottom,
-        "top": itv.top,
-        "budget": {str(i): m for i, m in sorted(itv.budget.items())},
-    }
+def interval_to_json(itv: CrystalGraph) -> dict:
+    """The crystal graph export without the shape, plus bottom/top markers
+    and the color budget."""
+    data = graph_to_json(itv)
+    del data["shape"]
+    data["bottom"] = itv.minimum
+    data["top"] = itv.maximum
+    data["budget"] = {str(i): m for i, m in sorted(itv.budget.items())}
+    return data
 
 
 def components_to_json(chains: list[SaturatedChain], components: list[list[int]]) -> dict:

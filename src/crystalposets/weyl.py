@@ -29,14 +29,17 @@ Permutation = tuple[int, ...]
 MAX_N = 12
 
 
-def check_permutation(w: Permutation) -> Permutation:
-    """Validate one-line notation; return the tuple unchanged."""
+def check_permutation(w: Permutation, n: int | None = None) -> Permutation:
+    """Validate one-line notation, of size n when n is given; return the
+    tuple unchanged."""
     w = tuple(w)
-    n = len(w)
-    if n == 0 or n > MAX_N:
-        raise ValueError(f"permutation size must be between 1 and {MAX_N}, got {n}")
-    if sorted(w) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {w}")
+    size = len(w)
+    if size == 0 or size > MAX_N:
+        raise ValueError(f"permutation size must be between 1 and {MAX_N}, got {size}")
+    if n is not None and size != n:
+        raise ValueError(f"permutation {w} has size {size}, expected n={n}")
+    if sorted(w) != list(range(1, size + 1)):
+        raise ValueError(f"not a permutation of 1..{size}: {w}")
     return w
 
 

@@ -159,6 +159,17 @@ def test_argument_errors_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--n-max", "9")
     assert code == 2
 
+    code, _, err = run(capsys, "fiber", "--shape", "2,1", "--n", "3", "--w", "2413")
+    assert code == 2
+    assert "size" in err
+
+    messages = set()
+    for command in (["keys"], ["fiber", "--w", "1"], ["demazure", "--w", "1"]):
+        code, _, err = run(capsys, *command, "--shape", "1", "--n", "13")
+        assert code == 2
+        messages.add(err)
+    assert len(messages) == 1
+
 
 def test_malformed_tableau_literal(capsys):
     code, _, err = run(capsys, "mobius", "--shape", "2,1", "--n", "3",

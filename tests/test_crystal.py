@@ -267,6 +267,19 @@ def test_json_import_rejects_duplicates_and_cycles():
     }
     with pytest.raises(ValueError):
         graph_from_json(cyclic)
+    malformed = [
+        {"n": 3},
+        {**bad, "vertices": 5},
+        {**bad, "edges": None},
+        {**bad, "shape": 5},
+        {**bad, "vertices": [[[0]], [[2]]]},
+        {**bad, "vertices": [[[3]], [[2]]]},
+    ]
+    for data in malformed:
+        with pytest.raises(ValueError):
+            graph_from_json(data)
+    with pytest.raises(ValueError):
+        graph_from_json("[1,2]")
 
 
 def test_dot_export(g21):

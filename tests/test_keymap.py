@@ -133,8 +133,8 @@ def test_fibers_at_longest_parabolics_have_extremes(keyed):
                 fib = fiber(g, table, weyl.longest_parabolic(set(sub), g.n))
                 assert len(fib.components) == 1
                 for v in fib.vertices:
-                    assert poset.graph_leq(g, lo, v)
-                    assert poset.graph_leq(g, v, hi)
+                    assert poset.interval(g, lo, v) is not None
+                    assert poset.interval(g, v, hi) is not None
 
 
 def test_fiber_extremes_empty_for_stabilizer_indices(keyed):
@@ -195,13 +195,13 @@ def test_unique_maximal_fiber_minimum_below_every_vertex(keyed):
     for _, (g, table) in keyed.items():
         minima = sorted(set(minimal_fiber_elements(g, table).values()))
         below = {
-            x: [z for z in minima if poset.graph_leq(g, z, x)]
+            x: [z for z in minima if poset.interval(g, z, x) is not None]
             for x in range(len(g))
         }
         for x, candidates in below.items():
             maximal = [
                 z for z in candidates
-                if not any(z != y and poset.graph_leq(g, z, y) for y in candidates)
+                if not any(z != y and poset.interval(g, z, y) is not None for y in candidates)
             ]
             assert len(maximal) == 1
 

@@ -6,17 +6,17 @@ import pytest
 
 import oracles
 from crystalposets import poset
+from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.poset import (
     ChainCapError,
-    MobiusCache,
     euler_mobius,
     find_move_path,
     free_interval,
-    graph_leq,
     interval,
     interval_mobius,
     minimal_upper_bounds,
     mobius,
+    mobius_from,
     non_stembridge_witness,
     saturated_chains,
     stembridge_components,
@@ -54,7 +54,7 @@ def test_single_vertex_interval(g43):
 def test_base_interval_shape(base_interval):
     assert len(base_interval) == 12
     assert base_interval.span == 4
-    sizes = Counter(base_interval.ranks)
+    sizes = Counter(base_interval.rank)
     assert [sizes[r] for r in range(5)] == [1, 3, 4, 3, 1]
     assert base_interval.budget == {1: 1, 2: 2, 3: 1}
 
@@ -81,7 +81,7 @@ def test_budgeted_extraction_matches_brute_force_everywhere(graphs):
                 assert set(itv.graph_indices) == members
                 cover_set = {
                     (itv.graph_indices[a], itv.graph_indices[b], i)
-                    for a, b, i in itv.covers
+                    for a, b, i in itv.edges
                 }
                 expected = {
                     (x, y, i)
@@ -95,16 +95,9 @@ def test_budgeted_extraction_matches_brute_force_everywhere(graphs):
 def test_free_interval_agrees_with_graph_interval(g43):
     got = free_interval(BASE_BOTTOM, BASE_TOP, 4)
     via_graph = interval(g43, g43.index[BASE_BOTTOM], g43.index[BASE_TOP])
-    assert got.payloads == via_graph.payloads
-    assert got.covers == via_graph.covers
+    assert got.vertices == via_graph.vertices
+    assert got.edges == via_graph.edges
     assert got.graph_indices is None
-
-
-def test_graph_leq_matches_reachability(g32):
-    for u in range(len(g32)):
-        upset = oracles.brute_upset(g32, u)
-        for v in range(len(g32)):
-            assert graph_leq(g32, u, v) == (v in upset)
 
 
 # -- Mobius -------------------------------------------------------------------
@@ -125,17 +118,6 @@ def test_mobius_base_interval(g43, base_interval):
 def test_mobius_raises_for_incomparable(g43):
     with pytest.raises(ValueError):
         mobius(g43, 1, 0)
-
-
-def test_mobius_cache_reuse(g43):
-    cache = MobiusCache()
-    u, v = g43.index[BASE_BOTTOM], g43.index[BASE_TOP]
-    assert mobius(g43, u, v, cache) == 2
-    assert cache.values[(u, v)] == 2
-    # cached intermediate values agree with fresh computations
-    for (uu, z), value in sorted(cache.values.items()):
-        assert value == oracles.brute_mobius(g43, uu, z)
-    assert mobius(g43, u, v, cache) == 2
 
 
 def test_euler_trivial_cases(g43):
@@ -174,10 +156,34 @@ def test_mobius_equals_euler_on_random_intervals(graphs, key):
         assert interval_mobius(itv) == euler_mobius(itv)
 
 
-def test_lower_mobius_all_matches_pointwise(g32):
-    mu = poset.lower_mobius_all(g32)
-    for v in sorted(oracles.brute_upset(g32, g32.minimum))[:20]:
-        assert mu[v] == oracles.brute_mobius(g32, g32.minimum, v)
+@pytest.mark.parametrize("key", DEFAULT_MATRIX)
+def test_lower_mobius_all_matches_pointwise(graphs, key):
+    g = graphs[key]
+    mu = poset.lower_mobius_all(g)
+    for v in sorted(oracles.brute_upset(g, g.minimum))[:20]:
+        assert mu[v] == oracles.brute_mobius(g, g.minimum, v)
+    # one pass from any source, on the graph and on its dual
+    for h in (g, g.reverse()):
+        for u in range(len(h)):
+            upset = oracles.brute_upset(h, u)
+            got = mobius_from(h, u)
+            for z in range(len(h)):
+                assert got[z] == (oracles.brute_mobius(h, u, z) if z in upset else 0)
+
+
+@pytest.mark.parametrize("key", DEFAULT_MATRIX)
+def test_interval_duals(graphs, key):
+    g = graphs[key]
+    rev = g.reverse()
+    pairs = oracles.comparable_pairs_sample(g, 50, seed=len(g))
+    if key == ((4, 3), 4):
+        pairs.append((g.index[BASE_BOTTOM], g.index[BASE_TOP]))
+    for u, v in pairs:
+        itv = interval(g, u, v)
+        dual = interval(rev, v, u)
+        assert interval_mobius(itv.reverse()) == interval_mobius(itv)
+        assert interval_mobius(dual) == interval_mobius(itv)
+        assert set(dual.graph_indices) == set(itv.graph_indices)
 
 
 # -- chains and moves ---------------------------------------------------------
@@ -333,8 +339,8 @@ def test_witness_in_base_interval(base_interval):
     witness = non_stembridge_witness(base_interval)
     assert witness is not None
     assert witness.kind == "nonlocal"
-    assert witness.base == base_interval.bottom
-    assert witness.minimal_upper_bounds == (base_interval.top,)
+    assert witness.base == base_interval.minimum
+    assert witness.minimal_upper_bounds == (base_interval.maximum,)
 
 
 def test_no_witness_in_diamond(g43):
@@ -350,7 +356,7 @@ def test_no_witness_in_hexagon(g43):
 def test_interval_export(base_interval):
     data = poset.interval_to_json(base_interval)
     assert len(data["vertices"]) == 12
-    assert data["bottom"] == base_interval.bottom
+    assert data["bottom"] == base_interval.minimum
     assert data["budget"] == {"1": 1, "2": 2, "3": 1}
 
 
