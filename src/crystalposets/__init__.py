@@ -41,6 +41,7 @@ from .poset import (
     minimal_upper_bounds,
     mobius,
     mobius_from,
+    move_classes_from,
     non_stembridge_witness,
     saturated_chains,
     stembridge_components,

@@ -11,6 +11,15 @@ result is intersected with the symmetric downward search from v.  An
 interval is itself a :class:`CrystalGraph` (local indices, restricted
 covers, its bottom and top as minimum and maximum), which lets the same
 machinery run on intervals of crystals far too large to generate.
+
+Two analytics pass a small summary per vertex upward in rank order instead
+of enumerating: :func:`mobius_from` (mu from one source to every vertex)
+and :func:`move_classes_from` (the number of chain-move classes of every
+interval [source, z]).  The move-class pass splits the chains ending at z by
+their last cover a -> z, carries each class at a along that cover, and
+merges the carried classes with union-find along every square and hexagon
+whose top is z; :func:`stembridge_components` labels each saturated chain
+by walking its covers through the resulting class table.
 """
 
 from __future__ import annotations
@@ -342,34 +351,135 @@ def stembridge_moves(chain: SaturatedChain, itv: CrystalGraph) -> list[tuple[int
     return out
 
 
+def _move_classes(
+    graph: CrystalGraph, source: int, cap: int
+) -> tuple[list[int], list[dict[int, list[int]]]]:
+    """The class table of the rank-order move-class pass.
+
+    ``count[z]`` is the number of move classes of the saturated chains from
+    ``source`` to z (0 where z is not above source).  ``carry[z][a][j]`` is
+    the class at z of the chains that run through class j at the lower
+    cover a and then take the cover a -> z.
+
+    A move either stays inside the prefix chain to the last lower cover, or
+    swaps a segment that ends at z: a square (colors (i, j) against (j, i))
+    or a hexagon ((i, j, j, i) against (j, i, i, j)), the same patterns as
+    :func:`stembridge_moves`.  So the classes at z are the carried classes
+    of its lower covers, merged with union-find along those segments.
+    """
+    fwd, bwd = graph.fwd, graph.bwd
+    count = [0] * len(graph)
+    carry: list[dict[int, list[int]]] = [{} for _ in range(len(graph))]
+    count[source] = 1
+    records = 1
+    floor = graph.rank[source]
+    for z in sorted(range(len(graph)), key=graph.rank.__getitem__):
+        if graph.rank[z] <= floor:
+            continue
+        offset: dict[int, int] = {}  # lower cover -> its first record at z
+        total = 0
+        for a in bwd[z].values():
+            if count[a]:
+                offset[a] = total
+                total += count[a]
+        if not total:
+            continue
+        records += total
+        if records > cap:
+            raise ChainCapError(f"move-class record cap {cap} exceeded")
+        if len(offset) == 1:  # no square or hexagon tops z
+            carry[z] = {a: list(range(total)) for a in offset}
+            count[z] = total
+            continue
+        parent = list(range(total))
+
+        def find(r: int) -> int:
+            while parent[r] != r:
+                parent[r] = parent[parent[r]]
+                r = parent[r]
+            return r
+
+        def merge(first: list[int], second: list[int]) -> None:
+            for r1, r2 in zip(first, second):
+                r1, r2 = find(r1), find(r2)
+                if r1 != r2:
+                    parent[max(r1, r2)] = min(r1, r2)
+
+        for j, y in bwd[z].items():
+            for i, x in bwd[y].items():
+                if i == j or not count[x]:
+                    continue
+                # square: x -i-> y -j-> z against x -j-> mid -i-> z
+                mid = fwd[x].get(j)
+                if mid is not None and fwd[mid].get(i) == z:
+                    merge(
+                        [offset[y] + c for c in carry[y][x]],
+                        [offset[mid] + c for c in carry[mid][x]],
+                    )
+                # hexagon: s -j-> w -i-> x -i-> y -j-> z against
+                # s -i-> t1 -j-> t2 -j-> t3 -i-> z
+                w = bwd[x].get(i)
+                s = bwd[w].get(j) if w is not None else None
+                if s is None or not count[s]:
+                    continue
+                t1 = fwd[s].get(i)
+                t2 = fwd[t1].get(j) if t1 is not None else None
+                t3 = fwd[t2].get(j) if t2 is not None else None
+                if t3 is None or fwd[t3].get(i) != z:
+                    continue
+                via_y = carry[y][x]
+                via_t3 = carry[t3][t2]
+                merge(
+                    [offset[y] + via_y[carry[x][w][c]] for c in carry[w][s]],
+                    [offset[t3] + via_t3[carry[t2][t1][c]] for c in carry[t1][s]],
+                )
+        label: dict[int, int] = {}  # root record -> class id at z
+        for a, base in offset.items():
+            carry[z][a] = [
+                label.setdefault(find(base + c), len(label)) for c in range(count[a])
+            ]
+        count[z] = len(label)
+    return count, carry
+
+
+def move_classes_from(
+    graph: CrystalGraph, source: int, cap: int = DEFAULT_CHAIN_CAP
+) -> list[int]:
+    """The number of chain-move classes of the interval [source, z] for
+    every vertex z, 0 where z is not above source, in one pass in rank
+    order (see :func:`_move_classes`).
+
+    Raises :class:`ChainCapError` once the pass has allocated more than
+    ``cap`` class records: one for the source, and one per class at each
+    lower cover of every vertex above it.  No chain is ever enumerated.
+    """
+    return _move_classes(graph, source, cap)[0]
+
+
 def stembridge_components(
     itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP
 ) -> tuple[list[SaturatedChain], list[list[int]]]:
     """Connected components of the move graph on all saturated chains.
 
     Returns the chain list (sorted by labels) and the components as lists
-    of indices into it, each sorted, ordered by first chain.
+    of indices into it, each sorted, ordered by first chain.  Each chain's
+    component is its class at the top in the table of the rank-order
+    move-class pass, read by walking the chain's covers.  ``cap`` bounds
+    both the chains and the class records.
     """
     chains = saturated_chains(itv, cap)
-    key = {c.vertices: k for k, c in enumerate(chains)}
-    seen = [False] * len(chains)
-    components: list[list[int]] = []
-    for start in range(len(chains)):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            k = queue.popleft()
-            for _, moved in stembridge_moves(chains[k], itv):
-                m = key[moved.vertices]
-                if not seen[m]:
-                    seen[m] = True
-                    comp.append(m)
-                    queue.append(m)
-        components.append(sorted(comp))
-    return chains, components
+    count, carry = _move_classes(itv, itv.minimum, cap)
+    if count[itv.maximum] == 1:
+        return chains, [list(range(len(chains)))]
+    members: dict[int, list[int]] = {}
+    for k, chain in enumerate(chains):
+        verts = chain.vertices
+        c = 0
+        for p in range(1, len(verts)):
+            c = carry[verts[p]][verts[p - 1]][c]
+        members.setdefault(c, []).append(k)
+    # each list is increasing, so sorting orders them by first chain
+    return chains, sorted(members.values())
 
 
 def find_move_path(

@@ -41,6 +41,10 @@ DEFAULT_MATRIX: tuple[tuple[tuple[int, ...], int], ...] = (
     ((2, 2), 4),
 )
 
+# the two-row parameters n that s2 and run_all(n_max=...) accept; s2[n=7]
+# has 323,823 maximal chains
+TWO_ROW_N = range(3, 8)
+
 BASE_BOTTOM = ((1, 1, 1, 2), (2, 3, 4))
 BASE_TOP = ((1, 1, 2, 3), (3, 4, 4))
 
@@ -138,6 +142,13 @@ def s1_base_interval() -> Certificate:
     )
 
 
+def _check_two_row(n: int) -> None:
+    if n not in TWO_ROW_N:
+        raise ValueError(
+            f"two-row parameter must be between {TWO_ROW_N[0]} and {TWO_ROW_N[-1]}, got {n}"
+        )
+
+
 def _two_row_endpoints(n: int) -> tuple[Tableau, Tableau]:
     """Endpoints of the disconnected interval in B((n+1, n), n+1)."""
     bottom = (
@@ -155,11 +166,8 @@ def s2_disconnected_chains(n: int) -> Certificate:
     """The rank 2n-1 two-row interval splits under chain moves, with the
     label-increasing chain's component counted by a Catalan number."""
     started = time.perf_counter()
-    if not 3 <= n <= 6:
-        raise ValueError(f"two-row family is supported for 3 <= n <= 6, got {n}")
-    graph = generate((n + 1, n), n + 1)
-    bottom, top = _two_row_endpoints(n)
-    itv = poset.interval(graph, graph.index[bottom], graph.index[top])
+    _check_two_row(n)
+    itv = poset.free_interval(*_two_row_endpoints(n), n + 1)
     chains, components = poset.stembridge_components(itv)
 
     increasing = (1,) + tuple(c for i in range(2, n) for c in (i, i)) + (n,)
@@ -400,12 +408,7 @@ def s6_lower_interval_mobius(shape: tuple[int, ...], n: int) -> Certificate:
 
 def _lower_intervals_connected(graph: CrystalGraph) -> bool:
     """Every interval [min, v] has one chain-move component."""
-    for v in range(len(graph)):
-        itv = poset.interval(graph, graph.minimum, v)
-        _, components = poset.stembridge_components(itv)
-        if len(components) != 1:
-            return False
-    return True
+    return all(c == 1 for c in poset.move_classes_from(graph, graph.minimum))
 
 
 def s7_axioms_and_connectivity(shape: tuple[int, ...], n: int) -> Certificate:
@@ -537,7 +540,7 @@ def _scenario_thunks(n_max: int) -> list[tuple[str, Callable[[], Certificate]]]:
         ("s10", s10_staircase_sphere),
         ("s3", s3_product_mobius),
     ]
-    for n in range(3, min(n_max, 6) + 1):
+    for n in range(TWO_ROW_N[0], n_max + 1):
         thunks.append(("s2", lambda n=n: s2_disconnected_chains(n)))
     for shape, n in DEFAULT_MATRIX:
         thunks.append(("s6", lambda shape=shape, n=n: s6_lower_interval_mobius(shape, n)))
@@ -551,7 +554,9 @@ def _sort_key(cert: Certificate) -> tuple[int, str]:
 
 
 def run_all(n_max: int = 5, only: str | None = None) -> list[Certificate]:
-    """Run the certificate suite; ``only`` filters by scenario id (e.g. "s2")."""
+    """Run the certificate suite; ``only`` filters by scenario id (e.g. "s2").
+    ``n_max`` is the largest two-row parameter of s2, in :data:`TWO_ROW_N`."""
+    _check_two_row(n_max)
     thunks = _scenario_thunks(n_max)
     if only is not None:
         thunks = [(sid, fn) for sid, fn in thunks if sid == only]

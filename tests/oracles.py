@@ -5,7 +5,9 @@ Nothing here shares an algorithm with the package: orders are computed by
 explicit breadth-first closures over cover relations, joins by scanning all
 common upper bounds, tableau counts by direct column-filling enumeration,
 intervals by unpruned up-set/down-set intersection, and Mobius values by
-the defining recursion over dictionaries.
+the defining recursion over dictionaries.  Chain-move components are
+found by breadth-first search over every chain's move neighbours, which
+enumerates the move graph that the package's rank-order pass never builds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from collections import deque
 from itertools import combinations, permutations
 
-from crystalposets import weyl
+from crystalposets import poset, weyl
 from crystalposets.crystal import CrystalGraph
 
 
@@ -290,3 +292,29 @@ def compute_keys_shuffled(graph: CrystalGraph, seed: int):
                 i, u = below[0]
                 keys[v] = keys[u] if i in graph.bwd[u] else weyl.left_multiply(i, keys[u])
     return tuple(keys[v] for v in range(len(graph)))
+
+
+def brute_move_components(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP):
+    """(chains, components) of the move graph by breadth-first search over
+    ``stembridge_moves`` neighbours: components as sorted lists of indices
+    into the label-sorted chain list, ordered by first chain."""
+    chains = poset.saturated_chains(itv, cap)
+    key = {c.vertices: k for k, c in enumerate(chains)}
+    seen = [False] * len(chains)
+    components: list[list[int]] = []
+    for start in range(len(chains)):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            k = queue.popleft()
+            for _, moved in poset.stembridge_moves(chains[k], itv):
+                m = key[moved.vertices]
+                if not seen[m]:
+                    seen[m] = True
+                    comp.append(m)
+                    queue.append(m)
+        components.append(sorted(comp))
+    return chains, components

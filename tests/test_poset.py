@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from crystalposets import poset
+from crystalposets import poset, scenarios
 from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.poset import (
     ChainCapError,
@@ -17,6 +17,7 @@ from crystalposets.poset import (
     minimal_upper_bounds,
     mobius,
     mobius_from,
+    move_classes_from,
     non_stembridge_witness,
     saturated_chains,
     stembridge_components,
@@ -274,10 +275,56 @@ def test_components_of_base_interval(base_interval):
 
 
 def test_lower_intervals_connected_sample(g32):
-    for v in range(0, len(g32), 7):
+    for v in range(len(g32)):
         itv = interval(g32, g32.minimum, v)
         _, comps = stembridge_components(itv)
         assert len(comps) == 1
+
+
+def test_components_match_brute_force_on_every_interval(graphs):
+    for key in (((2, 1), 3), ((3, 2), 4), ((2, 2), 4)):
+        g = graphs[key]
+        for u in range(len(g)):
+            upset = oracles.brute_upset(g, u)
+            counts = move_classes_from(g, u)
+            for v in range(len(g)):
+                if v not in upset:
+                    assert counts[v] == 0
+                    continue
+                itv = interval(g, u, v)
+                expected = oracles.brute_move_components(itv)
+                assert stembridge_components(itv) == expected
+                assert counts[v] == len(expected[1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_components_match_brute_force_on_two_row_intervals(n):
+    itv = free_interval(*scenarios._two_row_endpoints(n), n + 1)
+    expected = oracles.brute_move_components(itv)
+    assert len(expected[1]) >= 2
+    assert stembridge_components(itv) == expected
+    assert move_classes_from(itv, itv.minimum)[itv.maximum] == len(expected[1])
+
+
+@pytest.mark.parametrize("key", DEFAULT_MATRIX)
+def test_move_classes_from_counts_lower_interval_components(graphs, key):
+    for h in (graphs[key], graphs[key].reverse()):
+        counts = move_classes_from(h, h.minimum)
+        for v in range(len(h)):
+            _, components = oracles.brute_move_components(interval(h, h.minimum, v))
+            assert counts[v] == len(components)
+
+
+def test_move_class_cap():
+    # s2[n=5]: 374 chains in 9 classes; the pass allocates 213 class records
+    itv = free_interval(*scenarios._two_row_endpoints(5), 6)
+    assert move_classes_from(itv, itv.minimum, cap=213)[itv.maximum] == 9
+    with pytest.raises(ChainCapError):
+        move_classes_from(itv, itv.minimum, cap=212)
+    with pytest.raises(ChainCapError):
+        stembridge_components(itv, cap=212)
+    chains, components = stembridge_components(itv, cap=374)
+    assert len(chains) == 374 and len(components) == 9
 
 
 def test_find_move_path(g43, base_interval):

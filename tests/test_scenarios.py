@@ -1,8 +1,14 @@
 """The certificate suite: individual scenarios, determinism, crash reporting."""
 
+import hashlib
+
 import pytest
 
-from crystalposets import scenarios
+from crystalposets import poset, scenarios
+
+# sha256 of certificates_to_json(run_all(n_max=6)); the canonical stream of
+# `crystalposets verify --n-max 6 --format json` must stay byte-identical
+CERTIFY_DIGEST = "0e303205cd2f69b5c3f7598b9007f6eda9e6085d6e47c803682d2905930f35d3"
 
 
 def test_s1():
@@ -20,8 +26,25 @@ def test_s2(n, component):
 
 
 def test_s2_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        scenarios.s2_disconnected_chains(7)
+    for n in (2, 8):
+        with pytest.raises(ValueError):
+            scenarios.s2_disconnected_chains(n)
+
+
+def test_s2_at_the_largest_parameter():
+    n = scenarios.TWO_ROW_N[-1]
+    assert n == 7
+    cert = scenarios.s2_disconnected_chains(n)
+    assert cert.passed
+    assert cert.computed["increasing_component_chains"] == 42
+    itv = poset.free_interval(*scenarios._two_row_endpoints(n), n + 1)
+    assert len(itv) == 750
+    paths = [0] * len(itv)  # maximal chains from the bottom, by rank order
+    paths[itv.minimum] = 1
+    for z in sorted(range(len(itv)), key=itv.rank.__getitem__):
+        paths[z] += sum(paths[a] for a in itv.bwd[z].values())
+    assert paths[itv.maximum] == 323_823
+    assert poset.move_classes_from(itv, itv.minimum)[itv.maximum] == 33
 
 
 def test_s3():
@@ -78,6 +101,19 @@ def test_run_all_passes_and_sorts():
     assert all(c.passed for c in certs)
     ids = [c.scenario for c in certs]
     assert ids == sorted(ids, key=lambda s: (int(s.split("[")[0][1:]), s))
+
+
+def test_run_all_rejects_n_max_out_of_range():
+    for n_max in (2, 8):
+        with pytest.raises(ValueError):
+            scenarios.run_all(n_max=n_max)
+
+
+def test_certificate_digest():
+    certs = scenarios.run_all(n_max=6)
+    assert len(certs) == 18 and all(c.passed for c in certs)
+    canonical = scenarios.certificates_to_json(certs)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == CERTIFY_DIGEST
 
 
 def test_run_all_filter():
