@@ -40,6 +40,7 @@ from .crystal import (
 )
 
 DEFAULT_CHAIN_CAP = 10_000_000
+MOVE_CLASS_CAP = 10_000_000  # class records of one move-class pass
 
 
 class ChainCapError(RuntimeError):
@@ -352,7 +353,7 @@ def stembridge_moves(chain: SaturatedChain, itv: CrystalGraph) -> list[tuple[int
 
 
 def _move_classes(
-    graph: CrystalGraph, source: int, cap: int
+    graph: CrystalGraph, source: int
 ) -> tuple[list[int], list[dict[int, list[int]]]]:
     """The class table of the rank-order move-class pass.
 
@@ -385,8 +386,8 @@ def _move_classes(
         if not total:
             continue
         records += total
-        if records > cap:
-            raise ChainCapError(f"move-class record cap {cap} exceeded")
+        if records > MOVE_CLASS_CAP:
+            raise ChainCapError(f"move-class record cap {MOVE_CLASS_CAP} exceeded")
         if len(offset) == 1:  # no square or hexagon tops z
             carry[z] = {a: list(range(total)) for a in offset}
             count[z] = total
@@ -442,18 +443,17 @@ def _move_classes(
     return count, carry
 
 
-def move_classes_from(
-    graph: CrystalGraph, source: int, cap: int = DEFAULT_CHAIN_CAP
-) -> list[int]:
+def move_classes_from(graph: CrystalGraph, source: int) -> list[int]:
     """The number of chain-move classes of the interval [source, z] for
     every vertex z, 0 where z is not above source, in one pass in rank
     order (see :func:`_move_classes`).
 
     Raises :class:`ChainCapError` once the pass has allocated more than
-    ``cap`` class records: one for the source, and one per class at each
-    lower cover of every vertex above it.  No chain is ever enumerated.
+    ``MOVE_CLASS_CAP`` class records: one for the source, and one per class
+    at each lower cover of every vertex above it.  No chain is ever
+    enumerated.
     """
-    return _move_classes(graph, source, cap)[0]
+    return _move_classes(graph, source)[0]
 
 
 def stembridge_components(
@@ -465,12 +465,10 @@ def stembridge_components(
     of indices into it, each sorted, ordered by first chain.  Each chain's
     component is its class at the top in the table of the rank-order
     move-class pass, read by walking the chain's covers.  ``cap`` bounds
-    both the chains and the class records.
+    the chains, as in :func:`saturated_chains`.
     """
     chains = saturated_chains(itv, cap)
-    count, carry = _move_classes(itv, itv.minimum, cap)
-    if count[itv.maximum] == 1:
-        return chains, [list(range(len(chains)))]
+    carry = _move_classes(itv, itv.minimum)[1]
     members: dict[int, list[int]] = {}
     for k, chain in enumerate(chains):
         verts = chain.vertices

@@ -89,6 +89,14 @@ def test_chain_components(capsys):
     assert data["component_count"] == 3
 
 
+def test_chain_components_cap_counts_chains(capsys):
+    code, out, _ = run(capsys, "chains", *FIG_ARGS, "--components", "--cap", "4")
+    assert code == 0
+    assert "4 chains in 3 move component(s)" in out
+    code, _, err = run(capsys, "chains", *FIG_ARGS, "--components", "--cap", "3")
+    assert code == 2 and "chain cap 3 exceeded" in err
+
+
 def test_keys(capsys):
     code, out, _ = run(capsys, "keys", "--shape", "2,1", "--n", "3",
                        "--format", "json")

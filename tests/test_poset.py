@@ -281,10 +281,20 @@ def test_lower_intervals_connected_sample(g32):
         assert len(comps) == 1
 
 
-def test_components_match_brute_force_on_every_interval(graphs):
-    for key in (((2, 1), 3), ((3, 2), 4), ((2, 2), 4)):
+def _move_class_cases(graphs):
+    """(graph, sources): every source of the three smallest matrix graphs,
+    and the minimum of B((4,3),4) and of every matrix graph's reverse."""
+    small = (((2, 1), 3), ((3, 2), 4), ((2, 2), 4))
+    for key in DEFAULT_MATRIX:
         g = graphs[key]
-        for u in range(len(g)):
+        yield g, range(len(g)) if key in small else [g.minimum]
+        h = g.reverse()
+        yield h, [h.minimum]
+
+
+def test_components_match_brute_force_on_every_interval(graphs):
+    for g, sources in _move_class_cases(graphs):
+        for u in sources:
             upset = oracles.brute_upset(g, u)
             counts = move_classes_from(g, u)
             for v in range(len(g)):
@@ -306,25 +316,24 @@ def test_components_match_brute_force_on_two_row_intervals(n):
     assert move_classes_from(itv, itv.minimum)[itv.maximum] == len(expected[1])
 
 
-@pytest.mark.parametrize("key", DEFAULT_MATRIX)
-def test_move_classes_from_counts_lower_interval_components(graphs, key):
-    for h in (graphs[key], graphs[key].reverse()):
-        counts = move_classes_from(h, h.minimum)
-        for v in range(len(h)):
-            _, components = oracles.brute_move_components(interval(h, h.minimum, v))
-            assert counts[v] == len(components)
-
-
-def test_move_class_cap():
+def test_move_class_cap(monkeypatch):
     # s2[n=5]: 374 chains in 9 classes; the pass allocates 213 class records
     itv = free_interval(*scenarios._two_row_endpoints(5), 6)
-    assert move_classes_from(itv, itv.minimum, cap=213)[itv.maximum] == 9
+    monkeypatch.setattr(poset, "MOVE_CLASS_CAP", 213)
+    assert move_classes_from(itv, itv.minimum)[itv.maximum] == 9
+    monkeypatch.setattr(poset, "MOVE_CLASS_CAP", 212)
     with pytest.raises(ChainCapError):
-        move_classes_from(itv, itv.minimum, cap=212)
+        move_classes_from(itv, itv.minimum)
     with pytest.raises(ChainCapError):
-        stembridge_components(itv, cap=212)
-    chains, components = stembridge_components(itv, cap=374)
-    assert len(chains) == 374 and len(components) == 9
+        stembridge_components(itv)
+
+
+def test_components_cap_bounds_chains_only(base_interval):
+    # the 4 chains of the base interval need more than 4 class records
+    chains, components = stembridge_components(base_interval, cap=4)
+    assert len(chains) == 4 and len(components) == 3
+    with pytest.raises(ChainCapError):
+        stembridge_components(base_interval, cap=3)
 
 
 def test_find_move_path(g43, base_interval):
