@@ -18,6 +18,7 @@ from .crystal import (
     i_signature,
     local_structure,
     string_stats,
+    string_table,
     tableau_from_string,
     tableau_to_string,
     weight,
@@ -55,6 +56,7 @@ from .weyl import (
     left_weak_leq,
     length,
     longest_parabolic,
+    reduced_word_count,
     reduced_words,
     strong_bruhat_leq,
 )

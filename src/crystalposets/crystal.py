@@ -377,40 +377,87 @@ def apply_word(graph: CrystalGraph, v: int, word: Iterable[int], direction: str)
     return cur
 
 
+_UNSEEN, _ON_PATH = object(), object()
+
+
+def _walk_lengths(adj: tuple[dict[int, int], ...], i: int, step: int) -> list[int | None]:
+    """``step`` times the number of color-i moves along ``adj`` from every
+    vertex before the walk stops; None where it never stops.
+
+    Each vertex is entered once: a walk stops early at a vertex already
+    measured, and meeting a vertex of the current walk again closes a
+    circuit.  Memoizing per vertex, not per string, keeps this exact when
+    ``adj`` has two color-i arrows into one vertex.
+    """
+    out: list = [_UNSEEN] * len(adj)
+    for v in range(len(adj)):
+        path = []
+        cur: int | None = v
+        while cur is not None and out[cur] is _UNSEEN:
+            out[cur] = _ON_PATH
+            path.append(cur)
+            cur = adj[cur].get(i)
+        tail = -step if cur is None else out[cur]
+        if tail is _ON_PATH:
+            tail = None
+        for u in reversed(path):
+            if tail is not None:
+                tail += step
+            out[u] = tail
+    return out
+
+
+def string_table(graph: CrystalGraph) -> tuple[dict[int, list], dict[int, list]]:
+    """``rise, depth`` with ``rise[i][v]``, ``depth[i][v]`` the fields of
+    ``string_stats(graph, v, i)`` for every vertex and color, from one
+    memoized pass per color and direction: O(V*C) steps in all.  An entry
+    is None where the walk never ends (a monochromatic circuit).
+    """
+    rise = {i: _walk_lengths(graph.fwd, i, 1) for i in graph.colors}
+    depth = {i: _walk_lengths(graph.bwd, i, -1) for i in graph.colors}
+    return rise, depth
+
+
 def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
     """Verify the degree bounds and all difference conditions on string
     statistics at every vertex/color pair, from graph walks alone (no
     tableau formulas), so imported graphs can be audited too.
+
+    String lengths come from :func:`string_table`; the checks run vertex by
+    vertex and return the first violation.
     """
     colors = list(graph.colors)
+    rise, depth = string_table(graph)
 
-    # no monochromatic circuits: per color, follow out-edges with a step cap
-    cap = len(graph.vertices)
-    for v in range(len(graph.vertices)):
-        for i in colors:
-            cur, steps = v, 0
-            while (nxt := graph.fwd[cur].get(i)) is not None:
-                cur = nxt
-                steps += 1
-                if steps > cap:
-                    return AxiomReport(False, "P1", v, i, None, "monochromatic circuit")
+    # no monochromatic circuits: the first vertex, then color, whose
+    # forward walk does not end
+    circuits = [(rise[i].index(None), i) for i in colors if None in rise[i]]
+    if circuits:
+        v, i = min(circuits)
+        return AxiomReport(False, "P1", v, i, None, "monochromatic circuit")
+    # a graph built with inconsistent fwd/bwd can still loop backward;
+    # report such a vertex where its depth is first needed
+    endless: dict[int, int] = {}
+    for i in reversed(colors):
+        if None in depth[i]:
+            endless.update((v, i) for v, d in enumerate(depth[i]) if d is None)
 
-    def delta(v: int) -> dict[int, int]:
-        return {j: string_stats(graph, v, j).depth for j in colors}
-
-    def rise(v: int) -> dict[int, int]:
-        return {j: string_stats(graph, v, j).rise for j in colors}
+    def circuit(v: int) -> AxiomReport:
+        return AxiomReport(False, "P1", v, endless[v], None, "monochromatic circuit")
 
     for b in range(len(graph.vertices)):
-        d_b, r_b = delta(b), rise(b)
+        if b in endless:
+            return circuit(b)
+        below = graph.bwd[b]
         for i in colors:
-            bp = graph.bwd[b].get(i)
+            bp = below.get(i)
             if bp is None:
                 continue
-            d_bp, r_bp = delta(bp), rise(bp)
+            if bp in endless:
+                return circuit(bp)
             for j in colors:
-                dd = d_bp[j] - d_b[j]
-                de = r_bp[j] - r_b[j]
+                dd = depth[j][bp] - depth[j][b]
+                de = rise[j][bp] - rise[j][b]
                 if dd + de != cartan_entry(i, j):
                     return AxiomReport(
                         False, "P3", b, i, j,
@@ -421,34 +468,30 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
 
         for i in colors:
             for j in colors:
-                if i == j or graph.bwd[b].get(i) is None or graph.bwd[b].get(j) is None:
+                if i == j or below.get(i) is None or below.get(j) is None:
                     continue
-                d_bi = delta(graph.bwd[b][i])
-                dd_ij = d_bi[j] - d_b[j]
+                dd_ij = depth[j][below[i]] - depth[j][b]
                 if dd_ij == 0:
                     x = apply_word(graph, b, (i, j), "e")
                     y = apply_word(graph, b, (j, i), "e")
                     if x is None or y is None or x != y:
                         return AxiomReport(False, "P5", b, i, j, "raising square does not close")
                     fx = graph.fwd[x].get(j)
-                    if fx is None or rise(x)[i] - rise(fx)[i] != 0:
+                    if fx is None or rise[i][x] - rise[i][fx] != 0:
                         return AxiomReport(False, "P5", b, i, j, "rise condition at the top fails")
-                elif dd_ij == -1:
-                    d_bj = delta(graph.bwd[b][j])
-                    if d_bj[i] - d_b[i] == -1:
-                        x = apply_word(graph, b, (i, j, j, i), "e")
-                        y = apply_word(graph, b, (j, i, i, j), "e")
-                        if x is None or y is None or x != y:
-                            return AxiomReport(False, "P6", b, i, j, "raising hexagon does not close")
-                        r_x = rise(x)
-                        fxj = graph.fwd[x].get(j)
-                        fxi = graph.fwd[x].get(i)
-                        if (
-                            fxj is None or fxi is None
-                            or r_x[i] - rise(fxj)[i] != -1
-                            or r_x[j] - rise(fxi)[j] != -1
-                        ):
-                            return AxiomReport(False, "P6", b, i, j, "rise condition at the top fails")
+                elif dd_ij == -1 and depth[i][below[j]] - depth[i][b] == -1:
+                    x = apply_word(graph, b, (i, j, j, i), "e")
+                    y = apply_word(graph, b, (j, i, i, j), "e")
+                    if x is None or y is None or x != y:
+                        return AxiomReport(False, "P6", b, i, j, "raising hexagon does not close")
+                    fxj = graph.fwd[x].get(j)
+                    fxi = graph.fwd[x].get(i)
+                    if (
+                        fxj is None or fxi is None
+                        or rise[i][x] - rise[i][fxj] != -1
+                        or rise[j][x] - rise[j][fxi] != -1
+                    ):
+                        return AxiomReport(False, "P6", b, i, j, "rise condition at the top fails")
     return AxiomReport(True)
 
 

@@ -54,6 +54,7 @@ def compute_keys(graph: CrystalGraph) -> KeyTable:
     n = graph.n
     ident = weyl.identity(n)
     keys: list[Permutation | None] = [None] * len(graph)
+    joins: dict[frozenset[Permutation], Permutation] = {}  # lower keys -> their join
     for v in sorted(range(len(graph)), key=lambda v: graph.rank[v]):
         below = sorted(graph.bwd[v].items())  # (color, lower vertex)
         if not below:
@@ -62,7 +63,10 @@ def compute_keys(graph: CrystalGraph) -> KeyTable:
             i, _ = below[0]
             keys[v] = weyl.left_multiply(i, ident)
         elif len(below) >= 2:
-            keys[v] = weyl.left_weak_join([keys[u] for _, u in below])
+            lower = frozenset(keys[u] for _, u in below)
+            if (joined := joins.get(lower)) is None:
+                joined = joins[lower] = weyl.left_weak_join(lower)
+            keys[v] = joined
         else:
             i, u = below[0]
             if graph.bwd[u].get(i) is not None:
@@ -229,9 +233,11 @@ def fiber_extremes(
 
 
 def demazure(graph: CrystalGraph, table: KeyTable, w: Permutation) -> frozenset[int]:
-    """Vertices whose key is below w in strong Bruhat order."""
+    """Vertices whose key is below w in strong Bruhat order, with one order
+    test per distinct key."""
     w = weyl.check_permutation(w, graph.n)
-    return frozenset(v for v in range(len(graph)) if weyl.strong_bruhat_leq(table[v], w))
+    below = {k: weyl.strong_bruhat_leq(k, w) for k in set(table.keys)}
+    return frozenset(v for v, k in enumerate(table.keys) if below[k])
 
 
 def minimal_fiber_elements(graph: CrystalGraph, table: KeyTable) -> dict[frozenset[int], int]:

@@ -294,20 +294,40 @@ class SaturatedChain:
 
 def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[SaturatedChain]:
     """All maximal chains from bottom to top, depth-first in increasing
-    color order (hence deterministic)."""
+    color order.  A chain is fixed by its labels, so they come out sorted
+    by labels.  One path is extended and shortened in place, each chain's
+    tuples are built once at the top, and each vertex's covers are sorted
+    once."""
     chains: list[SaturatedChain] = []
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((itv.minimum,), ())]
-    while stack:
-        verts, labels = stack.pop()
-        last = verts[-1]
-        if last == itv.maximum:
-            chains.append(SaturatedChain(verts, labels))
-            if len(chains) > cap:
-                raise ChainCapError(f"chain cap {cap} exceeded")
-            continue
-        for i, nxt in sorted(itv.fwd[last].items(), reverse=True):
-            stack.append((verts + (nxt,), labels + (i,)))
-    chains.sort(key=lambda c: c.labels)
+
+    def emit(vertices: tuple[int, ...], labels: tuple[int, ...]) -> None:
+        chains.append(SaturatedChain(vertices, labels))
+        if len(chains) > cap:
+            raise ChainCapError(f"chain cap {cap} exceeded")
+
+    top = itv.maximum
+    if itv.minimum == top:
+        emit((top,), ())
+        return chains
+    covers: dict[int, list[tuple[int, int]]] = {}  # vertex -> sorted (color, cover)
+    path, labels = [itv.minimum], []
+    branches = [iter(sorted(itv.fwd[itv.minimum].items()))]  # one per path vertex
+    while branches:
+        for i, w in branches[-1]:
+            if w == top:
+                emit((*path, w), (*labels, i))
+                continue
+            if (up := covers.get(w)) is None:
+                up = covers[w] = sorted(itv.fwd[w].items())
+            path.append(w)
+            labels.append(i)
+            branches.append(iter(up))
+            break
+        else:
+            branches.pop()
+            path.pop()
+            if labels:
+                labels.pop()
     return chains
 
 

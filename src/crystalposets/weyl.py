@@ -13,13 +13,12 @@ Simple reflections act on the left by swapping the *values* i and i+1:
 Orders used throughout:
 
 - left weak order: covers w < s_i * w whenever the length goes up; tested
-  via containment of inversion sets of the inverses.
+  via containment of inversion sets of the inverses, held as int bitmasks.
 - strong Bruhat order: tested via the sorted-prefix (Ehresmann) criterion.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Iterable
 
 Permutation = tuple[int, ...]
@@ -27,6 +26,12 @@ Permutation = tuple[int, ...]
 # Everything here is exact and intended for desk-scale exploration; S_12 has
 # ~479M elements and anything bigger than that is a mistake, not a use case.
 MAX_N = 12
+# w0 in S_6 has 292,864 reduced words, w0 in S_7 has 1,100,742,656
+MAX_REDUCED_WORDS = 1_000_000
+
+
+class ReducedWordCapError(ValueError):
+    """Raised when a permutation has more than MAX_REDUCED_WORDS reduced words."""
 
 
 def check_permutation(w: Permutation, n: int | None = None) -> Permutation:
@@ -82,21 +87,27 @@ def left_multiply(i: int, w: Permutation) -> Permutation:
     return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
 
 
-def inversion_pairs(w: Permutation) -> frozenset[tuple[int, int]]:
-    """Value pairs (a, b) with a < b appearing out of order in the word."""
-    pos = {val: p for p, val in enumerate(w)}
-    n = len(w)
-    return frozenset(
-        (a, b)
-        for a in range(1, n + 1)
-        for b in range(a + 1, n + 1)
-        if pos[a] > pos[b]
-    )
-
-
 def _same_n(u: Permutation, w: Permutation) -> None:
     if len(u) != len(w):
         raise ValueError(f"mismatched sizes: {len(u)} vs {len(w)}")
+
+
+def _offset(b: int) -> int:
+    """Inversion sets are ints with one bit per value pair a < b, at bit
+    _offset(b) + a - 1: grouped by the larger value b, so the layout does
+    not depend on n, and S_MAX_N needs 66 bits."""
+    return (b - 1) * (b - 2) // 2
+
+
+def _inverse_inversions(w: Permutation) -> int:
+    """Inv(w^-1) as a mask: the pairs (a, b), a < b, with w(a) > w(b)."""
+    mask = off = 0
+    for b, wb in enumerate(w):  # off == _offset(b + 1)
+        for a in range(b):
+            if w[a] > wb:
+                mask |= 1 << (off + a)
+        off += b
+    return mask
 
 
 def left_weak_leq(u: Permutation, w: Permutation) -> bool:
@@ -108,7 +119,7 @@ def left_weak_leq(u: Permutation, w: Permutation) -> bool:
     False
     """
     _same_n(u, w)
-    return inversion_pairs(inverse(u)) <= inversion_pairs(inverse(w))
+    return not _inverse_inversions(u) & ~_inverse_inversions(w)
 
 
 def strong_bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -128,50 +139,15 @@ def strong_bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-def _transitive_closure(pairs: set[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:
-    """Close a set of value pairs under (a,b),(b,c) => (a,c); a < b < c."""
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        new = {
-            (a, c)
-            for (a, b) in closed
-            for c in range(b + 1, n + 1)
-            if (b, c) in closed and (a, c) not in closed
-        }
-        if new:
-            closed |= new
-            changed = True
-    return frozenset(closed)
-
-
-def _permutation_from_inversions(pairs: frozenset[tuple[int, int]], n: int) -> Permutation:
-    """The word whose out-of-order value pairs are exactly ``pairs``.
-
-    Requires ``pairs`` and its complement to be transitively closed; sorting
-    by the induced precedence is then a total order.
-    """
-
-    def precedes(a: int, b: int) -> int:
-        if a == b:
-            return 0
-        lo, hi = (a, b) if a < b else (b, a)
-        first = hi if (lo, hi) in pairs else lo
-        return -1 if a == first else 1
-
-    word = tuple(sorted(range(1, n + 1), key=cmp_to_key(precedes)))
-    if inversion_pairs(word) != pairs:
-        raise ValueError("pair set is not the inversion set of any permutation")
-    return word
-
-
 def left_weak_join(ws: Iterable[Permutation]) -> Permutation:
     """Least upper bound in left weak order of a nonempty set.
 
-    Computed by transitively closing the union of the inversion sets of the
-    inverses; the closure grows monotonically inside a finite universe, so
-    the iteration terminates, and the result is again a valid inversion set.
+    Inv(j^-1) of the join j is the transitive closure of the union of the
+    sets Inv(w^-1) (Bjorner-Brenti, GTM 231, ch. 3): the pairs (a, c)
+    with w(a) > w(c) are closed under (a, b), (b, c) => (a, c).  Grouped by
+    c, each group is closed by or-ing in the groups of its members, in
+    increasing c; c then takes its place among 1..c-1 from the size of its
+    group.
 
     >>> left_weak_join([(2, 1, 3), (1, 3, 2)])
     (3, 2, 1)
@@ -182,13 +158,32 @@ def left_weak_join(ws: Iterable[Permutation]) -> Permutation:
     if not ws:
         raise ValueError("join of an empty set")
     n = len(ws[0])
+    union = 0
     for w in ws:
         _same_n(ws[0], w)
-    union: set[tuple[int, int]] = set()
-    for w in ws:
-        union |= inversion_pairs(inverse(w))
-    closed = _transitive_closure(union, n)
-    return inverse(_permutation_from_inversions(closed, n))
+        union |= _inverse_inversions(w)
+    # above[c]: bit a-1 set when the join sends a < c above c; order: the
+    # positions seen so far, sorted by their value under the join
+    above = [0] * (n + 1)
+    order: list[int] = []
+    closed_mask = 0
+    for c in range(1, n + 1):
+        group = union >> _offset(c) & ((1 << (c - 1)) - 1)
+        closed = group
+        while group:
+            low = group & -group
+            closed |= above[low.bit_length()]
+            group ^= low
+        above[c] = closed
+        closed_mask |= closed << _offset(c)
+        order.insert(c - 1 - closed.bit_count(), c)
+    join = [0] * n
+    for value, c in enumerate(order, 1):
+        join[c - 1] = value
+    join = tuple(join)
+    if _inverse_inversions(join) != closed_mask:
+        raise ValueError("pair set is not the inversion set of any permutation")
+    return join
 
 
 def longest_parabolic(indices: Iterable[int], n: int) -> Permutation:
@@ -242,22 +237,55 @@ def classify_longest_parabolic(w: Permutation) -> frozenset[int] | None:
     return j if longest_parabolic(j, len(w)) == w else None
 
 
+def reduced_word_count(w: Permutation) -> int:
+    """Number of reduced words of w, by memoized recursion over left
+    descents; raises ReducedWordCapError as soon as a count exceeds
+    MAX_REDUCED_WORDS (counts only grow going up in left weak order).
+
+    >>> reduced_word_count((4, 3, 2, 1))
+    16
+    """
+    w = tuple(w)
+    memo: dict[Permutation, int] = {}
+
+    def count(u: Permutation) -> int:
+        if (known := memo.get(u)) is not None:
+            return known
+        total = sum(count(left_multiply(i, u)) for i in left_descents(u)) or 1
+        if total > MAX_REDUCED_WORDS:
+            raise ReducedWordCapError(
+                f"{permutation_to_string(w)} has more than "
+                f"MAX_REDUCED_WORDS = {MAX_REDUCED_WORDS} reduced words"
+            )
+        memo[u] = total
+        return total
+
+    return count(w)
+
+
 def reduced_words(w: Permutation) -> set[tuple[int, ...]]:
     """All reduced words (i_1, ..., i_l) with s_{i_1} ... s_{i_l} = w.
 
     Enumerated recursively through left descents: each reduced word starts
     with a left descent i and continues with a reduced word of s_i * w.
+    The words are counted first, so a permutation with more than
+    MAX_REDUCED_WORDS of them raises ReducedWordCapError before any is built.
 
     >>> sorted(reduced_words((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
     >>> len(reduced_words((4, 3, 2, 1)))
     16
     """
+    reduced_word_count(w)
+    return _reduced_words(w)
+
+
+def _reduced_words(w: Permutation) -> set[tuple[int, ...]]:
     if length(w) == 0:
         return {()}
     words = set()
     for i in sorted(left_descents(w)):
-        for rest in reduced_words(left_multiply(i, w)):
+        for rest in _reduced_words(left_multiply(i, w)):
             words.add((i,) + rest)
     return words
 

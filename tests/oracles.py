@@ -8,6 +8,9 @@ intervals by unpruned up-set/down-set intersection, and Mobius values by
 the defining recursion over dictionaries.  Chain-move components are
 found by breadth-first search over every chain's move neighbours, which
 enumerates the move graph that the package's rank-order pass never builds.
+The local-axiom checker and the chain enumerator keep their earlier
+per-walk and copy-per-push forms here, as references for the package's
+string-table and path-stack versions.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections import deque
 from itertools import combinations, permutations
 
 from crystalposets import poset, weyl
-from crystalposets.crystal import CrystalGraph
+from crystalposets.crystal import AxiomReport, CrystalGraph, apply_word, cartan_entry, string_stats
 
 
 # -- symmetric group ----------------------------------------------------------
@@ -294,11 +297,104 @@ def compute_keys_shuffled(graph: CrystalGraph, seed: int):
     return tuple(keys[v] for v in range(len(graph)))
 
 
+def brute_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
+    """The local-axiom check with every string statistic re-walked by
+    ``string_stats`` where it is read, and P1 found by a capped forward walk
+    from every vertex and color."""
+    colors = list(graph.colors)
+
+    # no monochromatic circuits: per color, follow out-edges with a step cap
+    cap = len(graph.vertices)
+    for v in range(len(graph.vertices)):
+        for i in colors:
+            cur, steps = v, 0
+            while (nxt := graph.fwd[cur].get(i)) is not None:
+                cur = nxt
+                steps += 1
+                if steps > cap:
+                    return AxiomReport(False, "P1", v, i, None, "monochromatic circuit")
+
+    def delta(v: int) -> dict[int, int]:
+        return {j: string_stats(graph, v, j).depth for j in colors}
+
+    def rise(v: int) -> dict[int, int]:
+        return {j: string_stats(graph, v, j).rise for j in colors}
+
+    for b in range(len(graph.vertices)):
+        d_b, r_b = delta(b), rise(b)
+        for i in colors:
+            bp = graph.bwd[b].get(i)
+            if bp is None:
+                continue
+            d_bp, r_bp = delta(bp), rise(bp)
+            for j in colors:
+                dd = d_bp[j] - d_b[j]
+                de = r_bp[j] - r_b[j]
+                if dd + de != cartan_entry(i, j):
+                    return AxiomReport(
+                        False, "P3", b, i, j,
+                        f"delta-depth {dd} + delta-rise {de} != a_ij {cartan_entry(i, j)}",
+                    )
+                if i != j and (dd > 0 or de > 0):
+                    return AxiomReport(False, "P4", b, i, j, f"positive difference ({dd}, {de})")
+
+        for i in colors:
+            for j in colors:
+                if i == j or graph.bwd[b].get(i) is None or graph.bwd[b].get(j) is None:
+                    continue
+                d_bi = delta(graph.bwd[b][i])
+                dd_ij = d_bi[j] - d_b[j]
+                if dd_ij == 0:
+                    x = apply_word(graph, b, (i, j), "e")
+                    y = apply_word(graph, b, (j, i), "e")
+                    if x is None or y is None or x != y:
+                        return AxiomReport(False, "P5", b, i, j, "raising square does not close")
+                    fx = graph.fwd[x].get(j)
+                    if fx is None or rise(x)[i] - rise(fx)[i] != 0:
+                        return AxiomReport(False, "P5", b, i, j, "rise condition at the top fails")
+                elif dd_ij == -1:
+                    d_bj = delta(graph.bwd[b][j])
+                    if d_bj[i] - d_b[i] == -1:
+                        x = apply_word(graph, b, (i, j, j, i), "e")
+                        y = apply_word(graph, b, (j, i, i, j), "e")
+                        if x is None or y is None or x != y:
+                            return AxiomReport(False, "P6", b, i, j, "raising hexagon does not close")
+                        r_x = rise(x)
+                        fxj = graph.fwd[x].get(j)
+                        fxi = graph.fwd[x].get(i)
+                        if (
+                            fxj is None or fxi is None
+                            or r_x[i] - rise(fxj)[i] != -1
+                            or r_x[j] - rise(fxi)[j] != -1
+                        ):
+                            return AxiomReport(False, "P6", b, i, j, "rise condition at the top fails")
+    return AxiomReport(True)
+
+
+def brute_saturated_chains(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP):
+    """All maximal chains, each stack entry carrying its own copies of the
+    vertex and label tuples, sorted by labels at the end."""
+    chains: list[poset.SaturatedChain] = []
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((itv.minimum,), ())]
+    while stack:
+        verts, labels = stack.pop()
+        last = verts[-1]
+        if last == itv.maximum:
+            chains.append(poset.SaturatedChain(verts, labels))
+            if len(chains) > cap:
+                raise poset.ChainCapError(f"chain cap {cap} exceeded")
+            continue
+        for i, nxt in sorted(itv.fwd[last].items(), reverse=True):
+            stack.append((verts + (nxt,), labels + (i,)))
+    chains.sort(key=lambda c: c.labels)
+    return chains
+
+
 def brute_move_components(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP):
     """(chains, components) of the move graph by breadth-first search over
     ``stembridge_moves`` neighbours: components as sorted lists of indices
     into the label-sorted chain list, ordered by first chain."""
-    chains = poset.saturated_chains(itv, cap)
+    chains = brute_saturated_chains(itv, cap)
     key = {c.vertices: k for k, c in enumerate(chains)}
     seen = [False] * len(chains)
     components: list[list[int]] = []

@@ -8,7 +8,10 @@ import pytest
 import oracles
 from crystalposets import crystal
 from crystalposets.crystal import (
+    AxiomReport,
+    CrystalGraph,
     GraphSizeError,
+    StringStats,
     apply_e,
     apply_f,
     check_stembridge_axioms,
@@ -20,6 +23,7 @@ from crystalposets.crystal import (
     i_signature,
     local_structure,
     string_stats,
+    string_table,
     weight,
 )
 
@@ -207,6 +211,87 @@ def test_every_single_edge_deletion_is_detected(g21):
         except ValueError:
             continue
         assert not check_stembridge_axioms(mutant).passed
+
+
+def _mutants(g):
+    """Every single-edge deletion or recoloring of g that the JSON import
+    accepts, and the reverse of each."""
+    data = graph_to_json(g)
+    edges = data["edges"]
+    variants = [edges[:k] + edges[k + 1:] for k in range(len(edges))]
+    variants += [
+        edges[:k] + [[a, b, j]] + edges[k + 1:]
+        for k, (a, b, i) in enumerate(edges)
+        for j in range(1, g.n)
+        if j != i
+    ]
+    for variant in variants:
+        try:
+            mutant = graph_from_json({**data, "edges": variant})
+        except ValueError:
+            continue
+        yield mutant
+        yield mutant.reverse()
+
+
+def test_axioms_match_oracle_on_mutants(graphs):
+    cases = 0
+    for key in (((2, 1), 3), ((3, 2), 4), ((2, 2), 4)):
+        for mutant in _mutants(graphs[key]):
+            assert check_stembridge_axioms(mutant) == oracles.brute_stembridge_axioms(mutant)
+            cases += 1
+    assert cases == 336
+
+
+def test_axioms_match_oracle_on_matrix(graphs):
+    for g in graphs.values():
+        for h in (g, g.reverse()):
+            assert check_stembridge_axioms(h) == oracles.brute_stembridge_axioms(h) == AxiomReport(True)
+
+
+def _direct_graph(edges, n=3):
+    """A CrystalGraph built without the JSON import's checks."""
+    size = 1 + max(max(a, b) for a, b, _ in edges)
+    return CrystalGraph(
+        shape=None, n=n, vertices=tuple(((k + 1,),) for k in range(size)),
+        edges=tuple(edges), rank=(0,) * size, minimum=0, maximum=None,
+    )
+
+
+def test_axioms_report_circuits_like_the_oracle():
+    # a color-1 circuit 1 -> 2 -> 1 entered from 0; bwd records only the
+    # last color-1 edge into 1, so the two directions disagree
+    g = _direct_graph([(0, 1, 1), (1, 2, 1), (2, 1, 1), (0, 3, 2)])
+    report = check_stembridge_axioms(g)
+    assert report == oracles.brute_stembridge_axioms(g)
+    assert (report.axiom, report.vertex, report.i) == ("P1", 0, 1)
+    # the witness is the first vertex whose walk does not end, then the
+    # first such color: vertex 1 before vertex 2, color 1 before color 2
+    for edges, witness in (
+        ([(0, 3, 1), (1, 4, 2), (4, 1, 2), (2, 5, 1), (5, 2, 1)], (1, 2)),
+        ([(0, 3, 1), (2, 4, 2), (4, 2, 2), (2, 5, 1), (5, 2, 1)], (2, 1)),
+    ):
+        g = _direct_graph(edges)
+        report = check_stembridge_axioms(g)
+        assert report == oracles.brute_stembridge_axioms(g)
+        assert (report.axiom, report.vertex, report.i) == ("P1", *witness)
+
+
+def test_axioms_stop_on_backward_only_circuit():
+    # forward walks end (fwd[1][1] is overwritten by the edge to 2) but the
+    # backward walk from 0 loops 0 -> 1 -> 0; the oracle never returns here
+    g = _direct_graph([(0, 1, 1), (1, 0, 1), (1, 2, 1)])
+    assert g.fwd[1] == {1: 2} and g.bwd[0] == {1: 1} and g.bwd[1] == {1: 0}
+    report = check_stembridge_axioms(g)
+    assert (report.passed, report.axiom, report.vertex, report.i) == (False, "P1", 0, 1)
+
+
+def test_string_table_matches_string_stats(g32):
+    for g in (g32, g32.reverse()):
+        rise, depth = string_table(g)
+        for v in range(len(g)):
+            for i in g.colors:
+                assert string_stats(g, v, i) == StringStats(rise[i][v], depth[i][v])
 
 
 def test_local_structure_base_vertex(g43):

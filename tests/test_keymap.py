@@ -7,6 +7,7 @@ import pytest
 import oracles
 from crystalposets import keymap, poset, weyl
 from crystalposets.crystal import generate
+from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.keymap import (
     FiberStructureError,
     KeyTable,
@@ -65,9 +66,10 @@ def test_key_map_is_a_poset_map(keyed):
 
 def test_keys_do_not_depend_on_order_within_rank(graphs):
     for key, g in graphs.items():
-        table = compute_keys(g)
-        for seed in (1, 2, 3):
-            assert oracles.compute_keys_shuffled(g, seed) == table.keys
+        for h in (g, g.reverse()):
+            table = compute_keys(h)
+            for seed in (1, 2, 3):
+                assert oracles.compute_keys_shuffled(h, seed) == table.keys
 
 
 def test_key_axioms_pass(keyed):
@@ -168,6 +170,16 @@ def test_demazure(keyed):
         for w in perms:
             if weyl.strong_bruhat_leq(u, w):
                 assert sets[u] <= sets[w]
+
+
+@pytest.mark.parametrize("key", DEFAULT_MATRIX)
+def test_demazure_matches_bruhat_filter(graphs, key):
+    g = graphs[key]
+    for h in (g, g.reverse()):
+        table = compute_keys(h)
+        for w in oracles.all_permutations(h.n):
+            expected = {v for v in range(len(h)) if weyl.strong_bruhat_leq(table[v], w)}
+            assert demazure(h, table, w) == expected
 
 
 def test_demazure_sizes_are_sane(keyed):

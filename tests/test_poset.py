@@ -303,6 +303,10 @@ def test_components_match_brute_force_on_every_interval(graphs):
                     continue
                 itv = interval(g, u, v)
                 expected = oracles.brute_move_components(itv)
+                chains = expected[0]  # from oracles.brute_saturated_chains
+                assert saturated_chains(itv, cap=len(chains)) == chains
+                with pytest.raises(ChainCapError):
+                    saturated_chains(itv, cap=len(chains) - 1)
                 assert stembridge_components(itv) == expected
                 assert counts[v] == len(expected[1])
 

@@ -177,6 +177,27 @@ def test_reduced_words_examples():
     assert len(weyl.reduced_words((4, 3, 2, 1))) == 16
 
 
+def test_reduced_word_cap(monkeypatch):
+    assert weyl.MAX_REDUCED_WORDS == 1_000_000
+    assert weyl.reduced_word_count((6, 5, 4, 3, 2, 1)) == 292_864
+    assert weyl.reduced_word_count((2, 4, 1, 3)) == len(weyl.reduced_words((2, 4, 1, 3)))
+
+    def enumerate_words(w):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(weyl, "MAX_REDUCED_WORDS", 16)
+    assert len(weyl.reduced_words((4, 3, 2, 1))) == 16
+    monkeypatch.setattr(weyl, "MAX_REDUCED_WORDS", 15)
+    with pytest.raises(weyl.ReducedWordCapError):
+        weyl.reduced_words((4, 3, 2, 1))
+    monkeypatch.setattr(weyl, "MAX_REDUCED_WORDS", 1_000_000)
+    monkeypatch.setattr(weyl, "_reduced_words", enumerate_words)
+    w0 = tuple(range(7, 0, -1))  # 1,100,742,656 reduced words
+    with pytest.raises(weyl.ReducedWordCapError):
+        weyl.reduced_words(w0)
+    assert issubclass(weyl.ReducedWordCapError, ValueError)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_reduced_words_match_product_search_and_braid_connect(n):
     for w in oracles.all_permutations(n):
