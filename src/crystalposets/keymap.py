@@ -94,10 +94,10 @@ def check_key_axioms(graph: CrystalGraph, table: KeyTable) -> KeyReport:
     """
     for b in range(len(graph)):
         kb = table[b]
-        lb = weyl.length(kb)
+        descents = weyl.left_descents(kb)
         for p in graph.colors:
             if graph.bwd[b].get(p) is None:
-                if weyl.length(weyl.left_multiply(p, kb)) <= lb:
+                if p in descents:
                     return KeyReport(False, b, p, "key has a left descent at a string bottom")
             target = graph.fwd[b].get(p)
             if target is None:

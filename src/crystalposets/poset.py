@@ -4,13 +4,14 @@ graphs: interval extraction, Mobius function, saturated chain enumeration,
 square/hexagon chain moves and their connectivity, Euler-characteristic
 cross-checks, and (non-)lattice witnesses.
 
-Intervals are extracted by budgeted bidirectional search: the number of
+Intervals are extracted by one budgeted upward search: the number of
 color-i covers on any chain from u to v is forced by the weight difference,
-so the upward search from u never leaves the per-color budget, and the
-result is intersected with the symmetric downward search from v.  An
-interval is itself a :class:`CrystalGraph` (local indices, restricted
-covers, its bottom and top as minimum and maximum), which lets the same
-machinery run on intervals of crystals far too large to generate.
+so the search from u never leaves the per-color budget.  It records each
+cover it takes, and the interval is what v reaches back down those covers,
+so no e_i is ever applied.  An interval is itself a :class:`CrystalGraph`
+(local indices, restricted covers, its bottom and top as minimum and
+maximum), which lets the same machinery run on intervals of crystals far
+too large to generate.
 
 Two analytics pass a small summary per vertex upward in rank order instead
 of enumerating: :func:`mobius_from` (mu from one source to every vertex)
@@ -26,13 +27,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .crystal import (
+    DEFAULT_VERTEX_CAP,
     CrystalGraph,
     GraphSizeError,
     Tableau,
-    apply_e,
     apply_f,
     apply_word,
     graph_to_json,
@@ -66,61 +67,51 @@ def _extract(
     u_key: Hashable,
     v_key: Hashable,
     budget: dict[int, int],
-    up_steps: Callable[[Hashable], Iterable[tuple[int, Hashable]]],
-    down_steps: Callable[[Hashable], Iterable[tuple[int, Hashable]]],
-    max_vertices: int,
-) -> tuple[dict[Hashable, dict[int, int]], set[Hashable]] | None:
-    """Budgeted bidirectional closure; returns (usage table, interval keys)."""
+    step: Callable[[Hashable, int], Hashable | None],
+    payload_of: Callable[[Hashable], Tableau],
+    graph_index_of: Callable[[Hashable], int] | None,
+) -> CrystalGraph | None:
+    """The interval [u, v] from one budgeted search upward from u, or None
+    when v is not reached.
+
+    ``step(x, i)`` is the color-i cover of x or None.  The search records
+    every cover it takes, keyed by its upper end; [u, v] is the closure of v
+    under those recorded covers, and its edges are the recorded covers whose
+    upper end it holds.  Local indices go by (rank, payload), so extraction
+    is deterministic.
+    """
     zero = {i: 0 for i in budget}
     usage: dict[Hashable, dict[int, int]] = {u_key: zero}
+    below: dict[Hashable, list[tuple[int, Hashable]]] = {u_key: []}  # y -> [(i, x)]
     queue = deque([u_key])
     while queue:
         x = queue.popleft()
         used = usage[x]
-        for i, y in up_steps(x):
-            if used[i] + 1 > budget[i]:
+        for i, cap in budget.items():
+            if used[i] >= cap or (y := step(x, i)) is None:
                 continue
             if y not in usage:
-                if len(usage) > max_vertices:
-                    raise GraphSizeError(f"interval vertex cap {max_vertices} exceeded")
+                if len(usage) >= DEFAULT_VERTEX_CAP:
+                    raise GraphSizeError(f"interval vertex cap {DEFAULT_VERTEX_CAP} exceeded")
                 nxt = dict(used)
                 nxt[i] += 1
                 usage[y] = nxt
+                below[y] = []
                 queue.append(y)
+            below[y].append((i, x))
     if v_key not in usage or usage[v_key] != budget:
         return None
-    reach_down = {v_key}
-    queue = deque([v_key])
-    while queue:
-        x = queue.popleft()
-        for i, y in down_steps(x):
-            if y in usage and y not in reach_down:
-                reach_down.add(y)
-                queue.append(y)
-    return usage, {x for x in usage if x in reach_down}
-
-
-def _build_interval(
-    keys: set[Hashable],
-    usage: dict[Hashable, dict[int, int]],
-    budget: dict[int, int],
-    u_key: Hashable,
-    v_key: Hashable,
-    payload_of: Callable[[Hashable], Tableau],
-    up_steps: Callable[[Hashable], Iterable[tuple[int, Hashable]]],
-    graph_index_of: Callable[[Hashable], int] | None,
-) -> CrystalGraph:
-    """The interval on ``keys``, local indices assigned by (rank, payload)
-    so that extraction is deterministic."""
+    keys = {v_key}
+    stack = [v_key]
+    while stack:
+        for _, x in below[stack.pop()]:
+            if x not in keys:
+                keys.add(x)
+                stack.append(x)
     rank_of = {x: sum(usage[x].values()) for x in keys}
     ordered = sorted(keys, key=lambda x: (rank_of[x], payload_of(x)))
     local = {x: k for k, x in enumerate(ordered)}
-    covers = []
-    for x in ordered:
-        for i, y in up_steps(x):
-            if y in local:
-                covers.append((local[x], local[y], i))
-    covers.sort()
+    covers = sorted((local[x], local[y], i) for y in ordered for i, x in below[y])
     return CrystalGraph(
         shape=None,
         n=len(budget) + 1,
@@ -136,59 +127,38 @@ def _build_interval(
     )
 
 
-def interval(
-    graph: CrystalGraph, u: int, v: int, max_vertices: int = 2_000_000
-) -> CrystalGraph | None:
+def interval(graph: CrystalGraph, u: int, v: int) -> CrystalGraph | None:
     """Extract [u, v] from a generated graph, or None when u is not below v;
-    this is also the order test."""
+    this is also the order test.
+
+    >>> from .crystal import generate
+    >>> g = generate((4, 3), 4)
+    >>> u, v = g.index[((1, 1, 1, 2), (2, 3, 4))], g.index[((1, 1, 2, 3), (3, 4, 4))]
+    >>> itv = interval(g, u, v)
+    >>> len(itv), itv.span, interval_mobius(itv)
+    (12, 4, 2)
+    """
     budget = _color_budget(graph.weights[u], graph.weights[v])
     if budget is None:
         return None
-
-    def up(x: int) -> list[tuple[int, int]]:
-        return sorted(graph.fwd[x].items())
-
-    def down(x: int) -> list[tuple[int, int]]:
-        return sorted(graph.bwd[x].items())
-
-    got = _extract(u, v, budget, up, down, max_vertices)
-    if got is None:
-        return None
-    usage, keys = got
-    return _build_interval(keys, usage, budget, u, v, lambda x: graph.vertices[x], up, lambda x: x)
+    return _extract(
+        u, v, budget, lambda x, i: graph.fwd[x].get(i), graph.vertices.__getitem__, lambda x: x
+    )
 
 
-def free_interval(
-    u: Tableau, v: Tableau, n: int, max_vertices: int = 2_000_000
-) -> CrystalGraph | None:
+def free_interval(u: Tableau, v: Tableau, n: int) -> CrystalGraph | None:
     """Extract [u, v] directly from the crystal operators, without ever
     materializing the ambient crystal; this is what makes intervals of huge
-    crystals tractable."""
+    crystals tractable.
+
+    >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
+    >>> len(itv), itv.span, interval_mobius(itv)
+    (12, 4, 2)
+    """
     budget = _color_budget(weight(u, n), weight(v, n))
     if budget is None:
         return None
-
-    def up(x: Tableau) -> list[tuple[int, Tableau]]:
-        out = []
-        for i in range(1, n):
-            y = apply_f(x, i)
-            if y is not None:
-                out.append((i, y))
-        return out
-
-    def down(x: Tableau) -> list[tuple[int, Tableau]]:
-        out = []
-        for i in range(1, n):
-            y = apply_e(x, i)
-            if y is not None:
-                out.append((i, y))
-        return out
-
-    got = _extract(u, v, budget, up, down, max_vertices)
-    if got is None:
-        return None
-    usage, keys = got
-    return _build_interval(keys, usage, budget, u, v, lambda x: x, up, None)
+    return _extract(u, v, budget, apply_f, lambda x: x, None)
 
 
 # -- Mobius function --------------------------------------------------------
@@ -537,26 +507,24 @@ def find_move_path(
 
 # -- upper bounds and witnesses ---------------------------------------------
 
-def minimal_upper_bounds(
-    graph: CrystalGraph, a: int, b: int, rank_limit: int | None = None
-) -> list[int]:
-    """All minimal elements among common upper bounds of a and b, optionally
-    restricted to ranks <= rank_limit.  Minimality needs no search beyond
-    lower covers because common upper bounds form an up-set.
+def minimal_upper_bounds(graph: CrystalGraph, a: int, b: int) -> list[int]:
+    """All minimal elements among common upper bounds of a and b.
+    Minimality needs no search beyond lower covers because common upper
+    bounds form an up-set.
     """
 
-    def bounded_upset(s: int) -> set[int]:
+    def upset(s: int) -> set[int]:
         seen = {s}
         queue = deque([s])
         while queue:
             x = queue.popleft()
             for y in graph.fwd[x].values():
-                if y not in seen and (rank_limit is None or graph.rank[y] <= rank_limit):
+                if y not in seen:
                     seen.add(y)
                     queue.append(y)
         return seen
 
-    common = bounded_upset(a) & bounded_upset(b)
+    common = upset(a) & upset(b)
     return sorted(
         z for z in common if not any(p in common for p in graph.bwd[z].values())
     )

@@ -281,12 +281,23 @@ def reduced_words(w: Permutation) -> set[tuple[int, ...]]:
 
 
 def _reduced_words(w: Permutation) -> set[tuple[int, ...]]:
-    if length(w) == 0:
-        return {()}
-    words = set()
-    for i in sorted(left_descents(w)):
-        for rest in _reduced_words(left_multiply(i, w)):
-            words.add((i,) + rest)
+    """Depth-first over left descents, each permutation's descent steps
+    found once per call; every word is built once, at the identity."""
+    steps: dict[Permutation, list[tuple[int, Permutation]]] = {}
+    words: set[tuple[int, ...]] = set()
+    path: list[int] = []
+
+    def walk(u: Permutation) -> None:
+        if (down := steps.get(u)) is None:
+            down = steps[u] = [(i, left_multiply(i, u)) for i in sorted(left_descents(u))]
+        if not down:
+            words.add(tuple(path))
+        for i, x in down:
+            path.append(i)
+            walk(x)
+            path.pop()
+
+    walk(w)
     return words
 
 

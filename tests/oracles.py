@@ -10,7 +10,8 @@ found by breadth-first search over every chain's move neighbours, which
 enumerates the move graph that the package's rank-order pass never builds.
 The local-axiom checker and the chain enumerator keep their earlier
 per-walk and copy-per-push forms here, as references for the package's
-string-table and path-stack versions.
+string-table and path-stack versions, and the key-axiom checker keeps its
+length comparisons as a reference for the package's left-descent test.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import combinations, permutations
 
 from crystalposets import poset, weyl
 from crystalposets.crystal import AxiomReport, CrystalGraph, apply_word, cartan_entry, string_stats
+from crystalposets.keymap import KeyReport
 
 
 # -- symmetric group ----------------------------------------------------------
@@ -295,6 +297,30 @@ def compute_keys_shuffled(graph: CrystalGraph, seed: int):
                 i, u = below[0]
                 keys[v] = keys[u] if i in graph.bwd[u] else weyl.left_multiply(i, keys[u])
     return tuple(keys[v] for v in range(len(graph)))
+
+
+def length_check_key_axioms(graph: CrystalGraph, table) -> KeyReport:
+    """The key axioms with the left-descent test written as a length
+    comparison of the key and s_p times the key; the reference for
+    :func:`crystalposets.keymap.check_key_axioms`, which reads the left
+    descents."""
+    for b in range(len(graph)):
+        kb = table[b]
+        lb = weyl.length(kb)
+        for p in graph.colors:
+            if graph.bwd[b].get(p) is None:
+                if weyl.length(weyl.left_multiply(p, kb)) <= lb:
+                    return KeyReport(False, b, p, "key has a left descent at a string bottom")
+            target = graph.fwd[b].get(p)
+            if target is None:
+                continue
+            kt = table[target]
+            if graph.bwd[b].get(p) is not None:
+                if kt != kb:
+                    return KeyReport(False, b, p, "key changed off the string bottom")
+            elif kt not in (kb, weyl.left_multiply(p, kb)):
+                return KeyReport(False, b, p, "key jumped outside the allowed pair")
+    return KeyReport(True)
 
 
 def brute_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:

@@ -6,12 +6,13 @@ import pytest
 
 import crystalposets.crystal
 import crystalposets.keymap
+import crystalposets.poset
 import crystalposets.weyl
 
 
 @pytest.mark.parametrize(
     "module",
-    [crystalposets.weyl, crystalposets.crystal, crystalposets.keymap],
+    [crystalposets.weyl, crystalposets.crystal, crystalposets.keymap, crystalposets.poset],
     ids=lambda m: m.__name__,
 )
 def test_doctests(module):

@@ -89,6 +89,25 @@ def test_key_axioms_fail_on_perturbed_table(keyed):
     assert report.vertex is not None and report.color is not None
 
 
+def test_key_axioms_match_oracle_on_one_step_perturbations(keyed):
+    """Every table that differs from the true one by one left
+    multiplication at one vertex gets the oracle's report; all three
+    violations occur among them."""
+    details = set()
+    for key in (((2, 1), 3), ((3, 2), 4)):
+        g, table = keyed[key]
+        assert check_key_axioms(g, table) == oracles.length_check_key_axioms(g, table)
+        for v in range(len(g)):
+            for p in g.colors:
+                keys = list(table.keys)
+                keys[v] = weyl.left_multiply(p, keys[v])
+                bad = KeyTable(n=table.n, keys=tuple(keys))
+                report = check_key_axioms(g, bad)
+                assert report == oracles.length_check_key_axioms(g, bad)
+                details.add(report.detail)
+    assert len(details) == 3
+
+
 def test_adapted_strings_small_graph_exhaustive(keyed):
     g, table = keyed[((2, 1), 3)]
     for v in range(len(g)):

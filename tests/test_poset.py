@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from crystalposets import poset, scenarios
+from crystalposets.crystal import GraphSizeError
 from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.poset import (
     ChainCapError,
@@ -91,14 +92,56 @@ def test_budgeted_extraction_matches_brute_force_everywhere(graphs):
                     if y in members
                 }
                 assert cover_set == expected
+                # local indices by (rank, tableau), edges sorted
+                assert sorted(zip(itv.rank, itv.vertices)) == list(zip(itv.rank, itv.vertices))
+                assert sorted(itv.edges) == list(itv.edges)
 
 
-def test_free_interval_agrees_with_graph_interval(g43):
-    got = free_interval(BASE_BOTTOM, BASE_TOP, 4)
-    via_graph = interval(g43, g43.index[BASE_BOTTOM], g43.index[BASE_TOP])
-    assert got.vertices == via_graph.vertices
-    assert got.edges == via_graph.edges
-    assert got.graph_indices is None
+def test_free_interval_agrees_with_graph_interval(graphs):
+    """Every pair of the three smallest matrix graphs, comparable or not,
+    and every lower and upper interval of B((4,3),4)."""
+    cases = []
+    for key in (((2, 1), 3), ((3, 2), 4), ((2, 2), 4)):
+        g = graphs[key]
+        cases += [(g, u, v) for u in range(len(g)) for v in range(len(g))]
+    g = graphs[((4, 3), 4)]
+    cases += [(g, g.minimum, v) for v in range(len(g))]
+    cases += [(g, u, g.maximum) for u in range(len(g))]
+    incomparable = 0
+    for g, u, v in cases:
+        got = free_interval(g.vertices[u], g.vertices[v], g.n)
+        via_graph = interval(g, u, v)
+        if via_graph is None:
+            assert got is None
+            incomparable += 1
+            continue
+        assert got.vertices == via_graph.vertices
+        assert got.edges == via_graph.edges
+        assert got.rank == via_graph.rank
+        assert got.budget == via_graph.budget
+        assert (got.minimum, got.maximum) == (via_graph.minimum, via_graph.maximum)
+        assert got.graph_indices is None
+    assert incomparable == 37 + 2777 + 240
+
+
+def test_interval_vertex_cap(g43, monkeypatch):
+    # the search from the base bottom explores the 15 vertices above it
+    # whose color counts stay within the budget; 12 of them are kept
+    u, v = g43.index[BASE_BOTTOM], g43.index[BASE_TOP]
+    budget = poset._color_budget(g43.weights[u], g43.weights[v])
+
+    def within_budget(x):
+        used = poset._color_budget(g43.weights[u], g43.weights[x])
+        return all(used[i] <= budget[i] for i in budget)
+
+    assert sum(map(within_budget, oracles.brute_upset(g43, u))) == 15
+    monkeypatch.setattr(poset, "DEFAULT_VERTEX_CAP", 15)
+    assert len(interval(g43, u, v)) == len(free_interval(BASE_BOTTOM, BASE_TOP, 4)) == 12
+    monkeypatch.setattr(poset, "DEFAULT_VERTEX_CAP", 14)
+    with pytest.raises(GraphSizeError):
+        interval(g43, u, v)
+    with pytest.raises(GraphSizeError):
+        free_interval(BASE_BOTTOM, BASE_TOP, 4)
 
 
 # -- Mobius -------------------------------------------------------------------
@@ -391,8 +434,10 @@ def test_minimal_upper_bounds_non_lattice_pair(g43):
 def test_degree2_pair_has_unique_local_bound(g43):
     u = g43.index[((1, 1, 1, 2), (2, 3, 4))]
     v, w = g43.fwd[u][1], g43.fwd[u][3]
-    mubs = minimal_upper_bounds(g43, v, w, rank_limit=g43.rank[u] + 2)
-    assert len(mubs) == 1
+    # common upper bounds form an up-set of a graded poset, so the minimal
+    # ones of rank <= rank(u) + 2 are those minimal among that rank range
+    mubs = [z for z in minimal_upper_bounds(g43, v, w) if g43.rank[z] <= g43.rank[u] + 2]
+    assert mubs == [g43.fwd[v][3]] == [g43.fwd[w][1]]
 
 
 def test_witness_in_base_interval(base_interval):

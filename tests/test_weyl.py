@@ -198,6 +198,22 @@ def test_reduced_word_cap(monkeypatch):
     assert issubclass(weyl.ReducedWordCapError, ValueError)
 
 
+def test_reduced_words_find_each_descent_set_once(monkeypatch):
+    # w0 in S_5: 768 words; counting and enumerating each visit the 120
+    # permutations below w0 once
+    calls = 0
+    left_descents = weyl.left_descents
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        return left_descents(w)
+
+    monkeypatch.setattr(weyl, "left_descents", counted)
+    assert len(weyl.reduced_words((5, 4, 3, 2, 1))) == 768
+    assert calls <= 240
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_reduced_words_match_product_search_and_braid_connect(n):
     for w in oracles.all_permutations(n):
