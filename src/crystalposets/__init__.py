@@ -6,7 +6,6 @@ and the key map with its fibers and Demazure subcrystals.
 
 from .crystal import (
     CrystalGraph,
-    apply_e,
     apply_f,
     apply_word,
     check_stembridge_axioms,
@@ -15,9 +14,7 @@ from .crystal import (
     graph_to_dot,
     graph_to_json,
     highest,
-    i_signature,
     local_structure,
-    string_stats,
     string_table,
     tableau_from_string,
     tableau_to_string,
@@ -35,22 +32,18 @@ from .keymap import (
 )
 from .poset import (
     euler_mobius,
-    find_move_path,
     free_interval,
     interval,
     interval_mobius,
     minimal_upper_bounds,
-    mobius,
     mobius_from,
     move_classes_from,
     non_stembridge_witness,
     saturated_chains,
     stembridge_components,
-    stembridge_moves,
 )
 from .scenarios import Certificate, run_all
 from .weyl import (
-    classify_longest_parabolic,
     left_multiply,
     left_weak_join,
     left_weak_leq,

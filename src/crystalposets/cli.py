@@ -37,6 +37,17 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         raise ValueError(f"malformed shape {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the caps; argparse names the flag in its error."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def _label_string(labels: tuple[int, ...]) -> str:
     if not labels or max(labels) <= 9:
         return "".join(str(i) for i in labels)
@@ -58,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a crystal graph and export it")
     add_shape_args(p)
     p.add_argument("--format", choices=("human", "json", "dot"), default="human")
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP)
+    p.add_argument("--max-vertices", type=_positive_int, default=DEFAULT_VERTEX_CAP)
 
     for name, help_text in (
         ("mobius", "Mobius value of the interval [u, v]"),
@@ -73,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "chains":
             p.add_argument("--components", action="store_true",
                            help="group chains by move connectivity")
-            p.add_argument("--cap", type=int, default=poset.DEFAULT_CHAIN_CAP)
+            p.add_argument("--cap", type=_positive_int, default=poset.DEFAULT_CHAIN_CAP)
 
     p = sub.add_parser("keys", help="key permutation of every vertex")
     add_shape_args(p)
@@ -100,11 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _interval_or_fail(args) -> CrystalGraph:
     shape = _parse_shape(args.shape)
-    u = tableau_from_string(args.u, args.n)
-    v = tableau_from_string(args.v, args.n)
-    for t in (u, v):
-        if tuple(len(r) for r in t) != shape:
-            raise ValueError(f"tableau {tableau_to_string(t)} does not have shape {shape}")
+    u = tableau_from_string(args.u, args.n, shape)
+    v = tableau_from_string(args.v, args.n, shape)
     itv = poset.free_interval(u, v, args.n)
     if itv is None:
         raise ValueError(

@@ -1,6 +1,6 @@
 """
-Tableau crystals of type A: semistandard Young tableaux, the signature rule
-for the raising/lowering operators, full graph generation, string statistics,
+Tableau crystals of type A: semistandard Young tableaux, the lowering
+operators f_i by the signature rule, full graph generation, string lengths,
 and verification of the local structure axioms.
 
 A tableau is a tuple of rows, each row a tuple of integers in 1..n, weakly
@@ -98,57 +98,6 @@ def cartan_entry(i: int, j: int) -> int:
     return -1 if abs(i - j) == 1 else 0
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Surviving symbols of the bracket cancellation for one color.
-
-    ``plus_cells``/``minus_cells`` hold the (row, col) addresses of the
-    surviving letters i and i+1, in scan order; the reduced word is then
-    '+' * x followed by '-' * y.
-    """
-
-    plus_cells: tuple[Cell, ...]
-    minus_cells: tuple[Cell, ...]
-
-    @property
-    def x(self) -> int:
-        return len(self.plus_cells)
-
-    @property
-    def y(self) -> int:
-        return len(self.minus_cells)
-
-    @property
-    def word(self) -> str:
-        return "+" * self.x + "-" * self.y
-
-
-def i_signature(rows: Tableau, i: int) -> Signature:
-    """Scan columns left to right, bottom to top; record + for the letter i
-    and - for i+1; repeatedly delete adjacent "-+" pairs.
-
-    >>> i_signature(((1, 2, 2, 2, 2, 3), (3, 3, 4)), 2).word
-    '++-'
-    """
-    ncols = len(rows[0]) if rows else 0
-    stack: list[tuple[str, Cell]] = []
-    for c in range(ncols):
-        for r in range(len(rows) - 1, -1, -1):
-            if c >= len(rows[r]):
-                continue
-            val = rows[r][c]
-            if val == i:
-                if stack and stack[-1][0] == "-":
-                    stack.pop()
-                else:
-                    stack.append(("+", (r, c)))
-            elif val == i + 1:
-                stack.append(("-", (r, c)))
-    plus = tuple(cell for sym, cell in stack if sym == "+")
-    minus = tuple(cell for sym, cell in stack if sym == "-")
-    return Signature(plus, minus)
-
-
 def _replace(rows: Tableau, cell: Cell, val: int) -> Tableau:
     r, c = cell
     row = rows[r][:c] + (val,) + rows[r][c + 1 :]
@@ -156,36 +105,35 @@ def _replace(rows: Tableau, cell: Cell, val: int) -> Tableau:
 
 
 def apply_f(rows: Tableau, i: int) -> Tableau | None:
-    """Lowering operator: increment the letter i of the rightmost surviving +.
+    """Lowering operator by the signature rule: read the columns left to
+    right, bottom to top, counting the letters i+1 not yet matched.  A
+    letter i cancels one of them when the count is positive and survives
+    otherwise; f_i raises the last surviving i to i+1, and is undefined
+    when no i survives.
 
     >>> apply_f(((1, 2, 2, 2, 2, 3), (3, 3, 4)), 2)
     ((1, 2, 2, 2, 3, 3), (3, 3, 4))
+    >>> apply_f(((1, 2), (2,)), 1) is None
+    True
     """
-    sig = i_signature(rows, i)
-    if sig.x == 0:
+    unmatched = 0
+    last: Cell | None = None
+    height = len(rows)
+    for c in range(len(rows[0]) if rows else 0):
+        while len(rows[height - 1]) <= c:
+            height -= 1
+        for r in range(height - 1, -1, -1):
+            val = rows[r][c]
+            if val == i + 1:
+                unmatched += 1
+            elif val == i:
+                if unmatched:
+                    unmatched -= 1
+                else:
+                    last = (r, c)
+    if last is None:
         return None
-    return _replace(rows, sig.plus_cells[-1], i + 1)
-
-
-def apply_e(rows: Tableau, i: int) -> Tableau | None:
-    """Raising operator: decrement the letter i+1 of the leftmost surviving -.
-
-    >>> apply_e(((1, 2, 2, 2, 3, 3), (3, 3, 4)), 2)
-    ((1, 2, 2, 2, 2, 3), (3, 3, 4))
-    """
-    sig = i_signature(rows, i)
-    if sig.y == 0:
-        return None
-    return _replace(rows, sig.minus_cells[0], i)
-
-
-@dataclass(frozen=True)
-class StringStats:
-    """Length of the monochromatic string through a vertex: ``rise`` steps
-    remain upward (f applications), ``depth`` = -(steps downward)."""
-
-    rise: int
-    depth: int
+    return _replace(rows, last, i + 1)
 
 
 @dataclass
@@ -334,21 +282,6 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
     )
 
 
-def string_stats(graph: CrystalGraph, v: int, i: int) -> StringStats:
-    """Walk the color-i string through v in both directions."""
-    rise = 0
-    cur = v
-    while (nxt := graph.fwd[cur].get(i)) is not None:
-        cur = nxt
-        rise += 1
-    down = 0
-    cur = v
-    while (nxt := graph.bwd[cur].get(i)) is not None:
-        cur = nxt
-        down += 1
-    return StringStats(rise=rise, depth=-down)
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of the local-structure check; ``witness`` pinpoints the first
@@ -408,10 +341,11 @@ def _walk_lengths(adj: tuple[dict[int, int], ...], i: int, step: int) -> list[in
 
 
 def string_table(graph: CrystalGraph) -> tuple[dict[int, list], dict[int, list]]:
-    """``rise, depth`` with ``rise[i][v]``, ``depth[i][v]`` the fields of
-    ``string_stats(graph, v, i)`` for every vertex and color, from one
-    memoized pass per color and direction: O(V*C) steps in all.  An entry
-    is None where the walk never ends (a monochromatic circuit).
+    """``rise, depth``: ``rise[i][v]`` is the number of color-i steps up
+    from v to the end of its string, and ``depth[i][v]`` minus the number of
+    steps down, for every vertex and color, from one memoized pass per color
+    and direction: O(V*C) steps in all.  An entry is None where the walk
+    never ends (a monochromatic circuit).
     """
     rise = {i: _walk_lengths(graph.fwd, i, 1) for i in graph.colors}
     depth = {i: _walk_lengths(graph.bwd, i, -1) for i in graph.colors}

@@ -1,7 +1,7 @@
 """
 Analytics over edge-colored graded posets presented by their cover-edge
 graphs: interval extraction, Mobius function, saturated chain enumeration,
-square/hexagon chain moves and their connectivity, Euler-characteristic
+the connectivity of chains under square/hexagon moves, Euler-characteristic
 cross-checks, and (non-)lattice witnesses.
 
 Intervals are extracted by one budgeted upward search: the number of
@@ -42,6 +42,7 @@ from .crystal import (
 
 DEFAULT_CHAIN_CAP = 10_000_000
 MOVE_CLASS_CAP = 10_000_000  # class records of one move-class pass
+EULER_VERTEX_CAP = 1_000  # interval vertices of the dense Euler cross-check
 
 
 class ChainCapError(RuntimeError):
@@ -202,14 +203,6 @@ def interval_mobius(itv: CrystalGraph) -> int:
     return mobius_from(itv, itv.minimum)[itv.maximum]
 
 
-def mobius(graph: CrystalGraph, u: int, v: int) -> int:
-    """mu(u, v) in the crystal poset; raises ValueError when u is not below v."""
-    itv = interval(graph, u, v)
-    if itv is None:
-        raise ValueError(f"vertex {u} is not below {v}")
-    return interval_mobius(itv)
-
-
 def lower_mobius_all(graph: CrystalGraph) -> list[int]:
     """mu(minimum, x) for every vertex x, in one pass over the whole graph."""
     if graph.minimum is None:
@@ -220,10 +213,16 @@ def lower_mobius_all(graph: CrystalGraph) -> list[int]:
 def euler_mobius(itv: CrystalGraph) -> int:
     """Reduced Euler characteristic of the order complex of the open
     interval, by counting chains of every size; an independent cross-check
-    of :func:`interval_mobius`.
+    of :func:`interval_mobius`.  Its down-sets are dense, O(V^2) bits, so an
+    interval of more than ``EULER_VERTEX_CAP`` vertices raises
+    :class:`GraphSizeError`.
     """
     if itv.span < 1:
         raise ValueError("Euler cross-check needs an interval of rank at least 1")
+    if len(itv) > EULER_VERTEX_CAP:
+        raise GraphSizeError(
+            f"Euler cross-check vertex cap {EULER_VERTEX_CAP} exceeded: {len(itv)} vertices"
+        )
     inner = [z for z in range(len(itv)) if z not in (itv.minimum, itv.maximum)]
     down = [0] * len(itv)  # bitmask of {y : y <= z}
     for z in sorted(range(len(itv)), key=itv.rank.__getitem__):
@@ -301,47 +300,6 @@ def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[Sa
     return chains
 
 
-def stembridge_moves(chain: SaturatedChain, itv: CrystalGraph) -> list[tuple[int, SaturatedChain]]:
-    """All chains obtainable from ``chain`` by one move: swap a length-2
-    segment when the square with transposed colors closes at the same
-    endpoints, or a length-4 segment with color pattern (a, b, b, a) when
-    the transposed hexagon side exists with the same endpoints.
-    """
-    out: list[tuple[int, SaturatedChain]] = []
-    verts, labels = chain.vertices, chain.labels
-    for p in range(len(labels) - 1):
-        a, b = labels[p], labels[p + 1]
-        if a == b:
-            continue
-        start, end = verts[p], verts[p + 2]
-        mid = itv.fwd[start].get(b)
-        if mid is not None and itv.fwd[mid].get(a) == end:
-            out.append((
-                p,
-                SaturatedChain(
-                    verts[: p + 1] + (mid,) + verts[p + 2 :],
-                    labels[:p] + (b, a) + labels[p + 2 :],
-                ),
-            ))
-    for p in range(len(labels) - 3):
-        a, b = labels[p], labels[p + 1]
-        if a == b or labels[p + 1 : p + 4] != (b, b, a):
-            continue
-        start, end = verts[p], verts[p + 4]
-        z1 = itv.fwd[start].get(b)
-        z2 = itv.fwd[z1].get(a) if z1 is not None else None
-        z3 = itv.fwd[z2].get(a) if z2 is not None else None
-        if z3 is not None and itv.fwd[z3].get(b) == end:
-            out.append((
-                p,
-                SaturatedChain(
-                    verts[: p + 1] + (z1, z2, z3) + verts[p + 4 :],
-                    labels[:p] + (b, a, a, b) + labels[p + 4 :],
-                ),
-            ))
-    return out
-
-
 def _move_classes(
     graph: CrystalGraph, source: int
 ) -> tuple[list[int], list[dict[int, list[int]]]]:
@@ -352,11 +310,12 @@ def _move_classes(
     the class at z of the chains that run through class j at the lower
     cover a and then take the cover a -> z.
 
-    A move either stays inside the prefix chain to the last lower cover, or
-    swaps a segment that ends at z: a square (colors (i, j) against (j, i))
-    or a hexagon ((i, j, j, i) against (j, i, i, j)), the same patterns as
-    :func:`stembridge_moves`.  So the classes at z are the carried classes
-    of its lower covers, merged with union-find along those segments.
+    A chain move swaps a segment of a chain for the other side of a square
+    (colors (i, j) against (j, i)) or of a hexagon ((i, j, j, i) against
+    (j, i, i, j)) with the same ends.  A move either stays inside the prefix
+    chain to the last lower cover, or swaps a segment that ends at z.  So
+    the classes at z are the carried classes of its lower covers, merged
+    with union-find along the squares and hexagons whose top is z.
     """
     fwd, bwd = graph.fwd, graph.bwd
     count = [0] * len(graph)
@@ -468,41 +427,6 @@ def stembridge_components(
         members.setdefault(c, []).append(k)
     # each list is increasing, so sorting orders them by first chain
     return chains, sorted(members.values())
-
-
-def find_move_path(
-    itv: CrystalGraph,
-    start: SaturatedChain,
-    goal: SaturatedChain,
-    cap: int = DEFAULT_CHAIN_CAP,
-) -> list[tuple[int, SaturatedChain]] | None:
-    """Shortest sequence of moves from one chain to another (breadth-first
-    over the move graph), or None when they lie in different components."""
-    if start.vertices == goal.vertices:
-        return []
-    prev: dict[tuple[int, ...], tuple[tuple[int, ...], int, SaturatedChain]] = {}
-    seen = {start.vertices}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for pos, moved in stembridge_moves(cur, itv):
-            if moved.vertices in seen:
-                continue
-            if len(seen) > cap:
-                raise ChainCapError(f"move search cap {cap} exceeded")
-            seen.add(moved.vertices)
-            prev[moved.vertices] = (cur.vertices, pos, moved)
-            if moved.vertices == goal.vertices:
-                path: list[tuple[int, SaturatedChain]] = []
-                node = moved.vertices
-                while node != start.vertices:
-                    back, p, chain_at = prev[node]
-                    path.append((p, chain_at))
-                    node = back
-                path.reverse()
-                return path
-            queue.append(moved)
-    return None
 
 
 # -- upper bounds and witnesses ---------------------------------------------

@@ -52,13 +52,6 @@ def identity(n: int) -> Permutation:
     return tuple(range(1, n + 1))
 
 
-def simple_reflection(i: int, n: int) -> Permutation:
-    """The transposition s_i = (i, i+1) as a one-line word."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"reflection index {i} out of range for n={n}")
-    return left_multiply(i, identity(n))
-
-
 def inverse(w: Permutation) -> Permutation:
     inv = [0] * len(w)
     for pos, val in enumerate(w):
@@ -212,29 +205,14 @@ def longest_parabolic(indices: Iterable[int], n: int) -> Permutation:
     return tuple(word)
 
 
-def right_descents(w: Permutation) -> frozenset[int]:
-    """Indices i with w(i) > w(i+1); the atoms below w in left weak order."""
-    return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
 def left_descents(w: Permutation) -> frozenset[int]:
-    """Indices i with the value i appearing after i+1 in the word."""
-    return right_descents(inverse(w))
+    """Indices i with the value i appearing after i+1 in the word.
 
-
-def classify_longest_parabolic(w: Permutation) -> frozenset[int] | None:
-    """Return J if w is the longest element of the parabolic on J, else None.
-
-    The candidate J is forced: it must consist of the atoms below w, i.e.
-    the right-descent set.
-
-    >>> sorted(classify_longest_parabolic((2, 1, 4, 3)))
+    >>> sorted(left_descents((2, 4, 1, 3)))
     [1, 3]
-    >>> classify_longest_parabolic((2, 4, 1, 3)) is None
-    True
     """
-    j = right_descents(w)
-    return j if longest_parabolic(j, len(w)) == w else None
+    pos = inverse(w)
+    return frozenset(i for i in range(1, len(w)) if pos[i - 1] > pos[i])
 
 
 def reduced_word_count(w: Permutation) -> int:

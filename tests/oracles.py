@@ -12,6 +12,10 @@ The local-axiom checker and the chain enumerator keep their earlier
 per-walk and copy-per-push forms here, as references for the package's
 string-table and path-stack versions, and the key-axiom checker keeps its
 length comparisons as a reference for the package's left-descent test.
+The signature rule keeps its symbol-stack form, with both surviving words
+and the raising operator e_i, as the reference for the package's counting
+scan in ``apply_f``; the chain moves are enumerated chain by chain, as the
+reference for the package's rank-order move classes.
 """
 
 from __future__ import annotations
@@ -20,9 +24,12 @@ import random
 from collections import deque
 from itertools import combinations, permutations
 
+from dataclasses import dataclass
+
 from crystalposets import poset, weyl
-from crystalposets.crystal import AxiomReport, CrystalGraph, apply_word, cartan_entry, string_stats
+from crystalposets.crystal import AxiomReport, CrystalGraph, Tableau, apply_word, cartan_entry
 from crystalposets.keymap import KeyReport
+from crystalposets.poset import SaturatedChain
 
 
 # -- symmetric group ----------------------------------------------------------
@@ -204,7 +211,74 @@ def enumerate_ssyt(shape: tuple[int, ...], n: int) -> set[tuple[tuple[int, ...],
     return results
 
 
+def i_signature(rows: Tableau, i: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(plus cells, minus cells): scan columns left to right, bottom to top;
+    push + for the letter i and - for i+1, where a + on top of a - deletes
+    the pair.  The survivors read '+' * x then '-' * y, each cell list in
+    scan order."""
+    stack: list[tuple[str, tuple[int, int]]] = []
+    for c in range(len(rows[0]) if rows else 0):
+        for r in range(len(rows) - 1, -1, -1):
+            if c >= len(rows[r]):
+                continue
+            val = rows[r][c]
+            if val == i:
+                if stack and stack[-1][0] == "-":
+                    stack.pop()
+                else:
+                    stack.append(("+", (r, c)))
+            elif val == i + 1:
+                stack.append(("-", (r, c)))
+    plus = tuple(cell for sym, cell in stack if sym == "+")
+    minus = tuple(cell for sym, cell in stack if sym == "-")
+    return plus, minus
+
+
+def _set_cell(rows: Tableau, cell: tuple[int, int], val: int) -> Tableau:
+    r, c = cell
+    return tuple(
+        tuple(val if (rr, cc) == (r, c) else x for cc, x in enumerate(row))
+        for rr, row in enumerate(rows)
+    )
+
+
+def apply_f(rows: Tableau, i: int) -> Tableau | None:
+    """f_i from the stack signature: raise the rightmost surviving +."""
+    plus, _ = i_signature(rows, i)
+    return _set_cell(rows, plus[-1], i + 1) if plus else None
+
+
+def apply_e(rows: Tableau, i: int) -> Tableau | None:
+    """Raising operator: lower the letter i+1 of the leftmost surviving -."""
+    _, minus = i_signature(rows, i)
+    return _set_cell(rows, minus[0], i) if minus else None
+
+
 # -- graphs -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StringStats:
+    """Length of the monochromatic string through a vertex: ``rise`` steps
+    remain upward (f applications), ``depth`` = -(steps downward)."""
+
+    rise: int
+    depth: int
+
+
+def string_stats(graph: CrystalGraph, v: int, i: int) -> StringStats:
+    """Walk the color-i string through v in both directions."""
+    rise = 0
+    cur = v
+    while (nxt := graph.fwd[cur].get(i)) is not None:
+        cur = nxt
+        rise += 1
+    down = 0
+    cur = v
+    while (nxt := graph.bwd[cur].get(i)) is not None:
+        cur = nxt
+        down += 1
+    return StringStats(rise=rise, depth=-down)
+
 
 def brute_upset(graph: CrystalGraph, v: int) -> set[int]:
     seen = {v}
@@ -400,13 +474,13 @@ def brute_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
 def brute_saturated_chains(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP):
     """All maximal chains, each stack entry carrying its own copies of the
     vertex and label tuples, sorted by labels at the end."""
-    chains: list[poset.SaturatedChain] = []
+    chains: list[SaturatedChain] = []
     stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((itv.minimum,), ())]
     while stack:
         verts, labels = stack.pop()
         last = verts[-1]
         if last == itv.maximum:
-            chains.append(poset.SaturatedChain(verts, labels))
+            chains.append(SaturatedChain(verts, labels))
             if len(chains) > cap:
                 raise poset.ChainCapError(f"chain cap {cap} exceeded")
             continue
@@ -414,6 +488,47 @@ def brute_saturated_chains(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP
             stack.append((verts + (nxt,), labels + (i,)))
     chains.sort(key=lambda c: c.labels)
     return chains
+
+
+def stembridge_moves(chain: SaturatedChain, itv: CrystalGraph) -> list[tuple[int, SaturatedChain]]:
+    """All (position, chain) obtainable from ``chain`` by one move: swap a
+    length-2 segment when the square with transposed colors closes at the
+    same endpoints, or a length-4 segment with color pattern (a, b, b, a)
+    when the transposed hexagon side exists with the same endpoints.
+    """
+    out: list[tuple[int, SaturatedChain]] = []
+    verts, labels = chain.vertices, chain.labels
+    for p in range(len(labels) - 1):
+        a, b = labels[p], labels[p + 1]
+        if a == b:
+            continue
+        start, end = verts[p], verts[p + 2]
+        mid = itv.fwd[start].get(b)
+        if mid is not None and itv.fwd[mid].get(a) == end:
+            out.append((
+                p,
+                SaturatedChain(
+                    verts[: p + 1] + (mid,) + verts[p + 2 :],
+                    labels[:p] + (b, a) + labels[p + 2 :],
+                ),
+            ))
+    for p in range(len(labels) - 3):
+        a, b = labels[p], labels[p + 1]
+        if a == b or labels[p + 1 : p + 4] != (b, b, a):
+            continue
+        start, end = verts[p], verts[p + 4]
+        z1 = itv.fwd[start].get(b)
+        z2 = itv.fwd[z1].get(a) if z1 is not None else None
+        z3 = itv.fwd[z2].get(a) if z2 is not None else None
+        if z3 is not None and itv.fwd[z3].get(b) == end:
+            out.append((
+                p,
+                SaturatedChain(
+                    verts[: p + 1] + (z1, z2, z3) + verts[p + 4 :],
+                    labels[:p] + (b, a, a, b) + labels[p + 4 :],
+                ),
+            ))
+    return out
 
 
 def brute_move_components(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP):
@@ -432,7 +547,7 @@ def brute_move_components(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP)
         queue = deque([start])
         while queue:
             k = queue.popleft()
-            for _, moved in poset.stembridge_moves(chains[k], itv):
+            for _, moved in stembridge_moves(chains[k], itv):
                 m = key[moved.vertices]
                 if not seen[m]:
                     seen[m] = True

@@ -167,6 +167,16 @@ def test_argument_errors_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--n-max", "9")
     assert code == 2
 
+    for command in (
+        ["generate", "--shape", "1", "--n", "1", "--max-vertices"],
+        ["chains", *FIG_ARGS, "--cap"],
+    ):
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*command, value])
+            assert exc.value.code == 2
+            assert f"argument {command[-1]}: must be a positive integer" in capsys.readouterr().err
+
     code, _, err = run(capsys, "fiber", "--shape", "2,1", "--n", "3", "--w", "2413")
     assert code == 2
     assert "size" in err

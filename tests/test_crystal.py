@@ -11,8 +11,6 @@ from crystalposets.crystal import (
     AxiomReport,
     CrystalGraph,
     GraphSizeError,
-    StringStats,
-    apply_e,
     apply_f,
     check_stembridge_axioms,
     generate,
@@ -20,9 +18,7 @@ from crystalposets.crystal import (
     graph_to_dot,
     graph_to_json,
     highest,
-    i_signature,
     local_structure,
-    string_stats,
     string_table,
     weight,
 )
@@ -30,25 +26,26 @@ from crystalposets.crystal import (
 RUNNING_EXAMPLE = ((1, 2, 2, 2, 2, 3), (3, 3, 4))
 
 
+def _word(signature):
+    plus, minus = signature
+    return "+" * len(plus) + "-" * len(minus)
+
+
 def test_signature_running_example():
-    sig = i_signature(RUNNING_EXAMPLE, 2)
-    assert sig.word == "++-"
-    assert (sig.x, sig.y) == (2, 1)
+    assert _word(oracles.i_signature(RUNNING_EXAMPLE, 2)) == "++-"
 
 
 def test_signature_highest_has_no_minus():
     for shape, n in (((2, 1), 3), ((4, 3), 4), ((3, 2, 1), 4)):
         top = highest(shape, n)
         for i in range(1, n):
-            assert i_signature(top, i).y == 0
+            assert oracles.i_signature(top, i)[1] == ()
 
 
 def test_signature_survivor_addresses():
     # in 1,1/2 the first column's pair cancels; the surviving + is the
     # second-column entry 1
-    sig = i_signature(((1, 1), (2,)), 1)
-    assert sig.word == "+"
-    assert sig.plus_cells == ((0, 1),)
+    assert oracles.i_signature(((1, 1), (2,)), 1) == (((0, 1),), ())
 
 
 def test_apply_f_running_example():
@@ -59,11 +56,24 @@ def test_apply_f_bottom_edge():
     assert apply_f(((1, 1, 1, 2), (2, 3, 4)), 1) == ((1, 1, 2, 2), (2, 3, 4))
 
 
+def test_apply_f_matches_stack_signature(graphs):
+    # the counting scan against the symbol-stack bracket, on every
+    # (tableau, color) of the matrix graphs and of shapes with three or
+    # more row lengths, where the scan's column height changes
+    cases = [(g.vertices, g.n) for g in graphs.values()]
+    for shape, n in (((3, 2, 1), 5), ((3, 3, 1), 5), ((2, 1, 1, 1), 5)):
+        cases.append((oracles.enumerate_ssyt(shape, n), n))
+    for tableaux, n in cases:
+        for rows in tableaux:
+            for i in range(1, n):
+                assert apply_f(rows, i) == oracles.apply_f(rows, i)
+
+
 def test_apply_e_examples():
     for i in range(1, 4):
-        assert apply_e(highest((4, 3), 4), i) is None
-    assert apply_e(((1, 2, 2, 2, 3, 3), (3, 3, 4)), 2) == RUNNING_EXAMPLE
-    assert apply_e(((1, 2), (2,)), 1) == ((1, 1), (2,))
+        assert oracles.apply_e(highest((4, 3), 4), i) is None
+    assert oracles.apply_e(((1, 2, 2, 2, 3, 3), (3, 3, 4)), 2) == RUNNING_EXAMPLE
+    assert oracles.apply_e(((1, 2), (2,)), 1) == ((1, 1), (2,))
 
 
 def test_f_and_e_are_partial_inverses(g32):
@@ -71,8 +81,8 @@ def test_f_and_e_are_partial_inverses(g32):
         for i in range(1, 4):
             image = apply_f(rows, i)
             if image is not None:
-                assert apply_e(image, i) == rows
-            pre = apply_e(rows, i)
+                assert oracles.apply_e(image, i) == rows
+            pre = oracles.apply_e(rows, i)
             if pre is not None:
                 assert apply_f(pre, i) == rows
 
@@ -142,30 +152,31 @@ def test_unique_extremes(graphs):
 
 
 def test_string_stats(g43):
+    rise, depth = string_table(g43)
     for i in range(1, 4):
-        assert string_stats(g43, g43.minimum, i).depth == 0
-        assert string_stats(g43, g43.maximum, i).rise == 0
+        assert depth[i][g43.minimum] == 0
+        assert rise[i][g43.maximum] == 0
     # oracle: count repeated operator applications directly
     for i in range(1, 4):
         rows, steps = g43.vertices[g43.minimum], 0
         while (rows := apply_f(rows, i)) is not None:
             steps += 1
-        assert string_stats(g43, g43.minimum, i).rise == steps
-    assert string_stats(g43, g43.minimum, 2).rise == 3
-    assert string_stats(g43, g43.minimum, 1).rise == 1
+        assert rise[i][g43.minimum] == steps
+    assert rise[2][g43.minimum] == 3
+    assert rise[1][g43.minimum] == 1
 
 
 def test_string_stats_weight_consistency(g32):
     # the content difference across a full string is (length) * alpha_i
+    rise, depth = string_table(g32)
     for v in range(len(g32)):
         for i in range(1, 4):
-            stats = string_stats(g32, v, i)
             top, bot = v, v
-            for _ in range(stats.rise):
+            for _ in range(rise[i][v]):
                 top = g32.fwd[top][i]
-            for _ in range(-stats.depth):
+            for _ in range(-depth[i][v]):
                 bot = g32.bwd[bot][i]
-            length = stats.rise - stats.depth
+            length = rise[i][v] - depth[i][v]
             diff = tuple(
                 x - y for x, y in zip(g32.weights[bot], g32.weights[top])
             )
@@ -291,7 +302,7 @@ def test_string_table_matches_string_stats(g32):
         rise, depth = string_table(g)
         for v in range(len(g)):
             for i in g.colors:
-                assert string_stats(g, v, i) == StringStats(rise[i][v], depth[i][v])
+                assert oracles.string_stats(g, v, i) == oracles.StringStats(rise[i][v], depth[i][v])
 
 
 def test_local_structure_base_vertex(g43):

@@ -31,7 +31,7 @@ def test_minimum_and_atoms(keyed):
     for (shape, n), (g, table) in keyed.items():
         assert table[g.minimum] == weyl.identity(n)
         for i, atom in g.fwd[g.minimum].items():
-            assert table[atom] == weyl.simple_reflection(i, n)
+            assert table[atom] == weyl.left_multiply(i, weyl.identity(n))
 
 
 def test_specific_atom_key(keyed):
@@ -54,7 +54,7 @@ def test_keys_are_lowest_coset_representatives(keyed):
         stab = shape_stabilizer(g)
         for v in range(len(g)):
             for k in stab:
-                assert k not in weyl.right_descents(table[v])
+                assert k not in weyl.left_descents(weyl.inverse(table[v]))
 
 
 def test_key_map_is_a_poset_map(keyed):

@@ -6,23 +6,20 @@ import pytest
 
 import oracles
 from crystalposets import poset, scenarios
-from crystalposets.crystal import GraphSizeError
+from crystalposets.crystal import GraphSizeError, generate
 from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.poset import (
     ChainCapError,
     euler_mobius,
-    find_move_path,
     free_interval,
     interval,
     interval_mobius,
     minimal_upper_bounds,
-    mobius,
     mobius_from,
     move_classes_from,
     non_stembridge_witness,
     saturated_chains,
     stembridge_components,
-    stembridge_moves,
 )
 
 BASE_BOTTOM = ((1, 1, 1, 2), (2, 3, 4))
@@ -147,21 +144,16 @@ def test_interval_vertex_cap(g43, monkeypatch):
 # -- Mobius -------------------------------------------------------------------
 
 def test_mobius_trivial_cases(g43):
-    assert mobius(g43, 7, 7) == 1
+    assert interval_mobius(interval(g43, 7, 7)) == 1
     for u in range(len(g43)):
         for i, v in g43.fwd[u].items():
-            assert mobius(g43, u, v) == -1
+            assert interval_mobius(interval(g43, u, v)) == -1
             break
 
 
-def test_mobius_base_interval(g43, base_interval):
+def test_mobius_base_interval(base_interval):
     assert interval_mobius(base_interval) == 2
-    assert mobius(g43, g43.index[BASE_BOTTOM], g43.index[BASE_TOP]) == 2
-
-
-def test_mobius_raises_for_incomparable(g43):
-    with pytest.raises(ValueError):
-        mobius(g43, 1, 0)
+    assert interval_mobius(free_interval(BASE_BOTTOM, BASE_TOP, 4)) == 2
 
 
 def test_euler_trivial_cases(g43):
@@ -187,6 +179,19 @@ def test_mobius_equals_euler_exhaustively_on_small_crystal(g21):
 def test_euler_needs_positive_span(g21):
     with pytest.raises(ValueError):
         euler_mobius(interval(g21, 0, 0))
+
+
+def test_euler_vertex_cap(monkeypatch, base_interval):
+    # B((5,3),5) has 1,260 vertices
+    g = generate((5, 3), 5)
+    with pytest.raises(GraphSizeError):
+        euler_mobius(interval(g, g.minimum, g.maximum))
+    # the base interval has 12 vertices
+    monkeypatch.setattr(poset, "EULER_VERTEX_CAP", 12)
+    assert euler_mobius(base_interval) == 2
+    monkeypatch.setattr(poset, "EULER_VERTEX_CAP", 11)
+    with pytest.raises(GraphSizeError):
+        euler_mobius(base_interval)
 
 
 @pytest.mark.parametrize("key", [((3, 2), 4), ((4, 3), 4), ((2, 2), 4)])
@@ -278,18 +283,18 @@ def test_moves_on_diamond(g43):
     itv = diamond_interval(g43)
     chains = saturated_chains(itv)
     assert len(chains) == 2
-    moves = stembridge_moves(chains[0], itv)
+    moves = oracles.stembridge_moves(chains[0], itv)
     assert len(moves) == 1
     pos, moved = moves[0]
     assert pos == 0 and moved == chains[1]
-    back = stembridge_moves(moved, itv)
+    back = oracles.stembridge_moves(moved, itv)
     assert back == [(0, chains[0])]
 
 
 def test_move_involution_and_symmetry(base_interval):
     for chain in saturated_chains(base_interval):
-        for pos, moved in stembridge_moves(chain, base_interval):
-            assert (pos, chain) in stembridge_moves(moved, base_interval)
+        for pos, moved in oracles.stembridge_moves(chain, base_interval):
+            assert (pos, chain) in oracles.stembridge_moves(moved, base_interval)
 
 
 def test_hexagon_move(g43):
@@ -301,7 +306,7 @@ def test_hexagon_move(g43):
     chains = saturated_chains(itv)
     by_labels = {c.labels: c for c in chains}
     first = by_labels[(1, 2, 2, 1)]
-    moved = dict(stembridge_moves(first, itv))
+    moved = dict(oracles.stembridge_moves(first, itv))
     assert 0 in moved and moved[0].labels == (2, 1, 1, 2)
 
 
@@ -383,38 +388,7 @@ def test_components_cap_bounds_chains_only(base_interval):
         stembridge_components(base_interval, cap=3)
 
 
-def test_find_move_path(g43, base_interval):
-    itv = diamond_interval(g43)
-    c1, c2 = saturated_chains(itv)
-    assert find_move_path(itv, c1, c1) == []
-    path = find_move_path(itv, c1, c2)
-    assert path is not None and len(path) == 1
-    chains = saturated_chains(base_interval)
-    increasing = next(c for c in chains if c.labels == (1, 2, 2, 3))
-    decreasing = next(c for c in chains if c.labels == (3, 2, 2, 1))
-    assert find_move_path(base_interval, increasing, decreasing) is None
-    # path length is symmetric in its endpoints
-    middle = [c for c in chains if c.labels not in ((1, 2, 2, 3), (3, 2, 2, 1))]
-    a, b = middle
-    assert len(find_move_path(base_interval, a, b)) == len(
-        find_move_path(base_interval, b, a)
-    )
-
-
 # -- upper bounds and witnesses ----------------------------------------------
-
-def test_move_paths_are_step_valid(g32):
-    itv = interval(g32, g32.minimum, g32.maximum)
-    chains = saturated_chains(itv)
-    start, goal = chains[0], chains[-1]
-    path = find_move_path(itv, start, goal)
-    assert path is not None
-    current = start
-    for pos, after in path:
-        assert (pos, after) in stembridge_moves(current, itv)
-        current = after
-    assert current.vertices == goal.vertices
-
 
 def test_minimal_upper_bounds_comparable_pair(g43):
     u = g43.minimum

@@ -109,7 +109,7 @@ def test_join_of_atoms_is_longest_parabolic(n):
     indices = list(range(1, n))
     for r in range(1, len(indices) + 1):
         for sub in combinations(indices, r):
-            atoms = [weyl.simple_reflection(j, n) for j in sub]
+            atoms = [weyl.left_multiply(j, weyl.identity(n)) for j in sub]
             assert weyl.left_weak_join(atoms) == weyl.longest_parabolic(set(sub), n)
 
 
@@ -118,9 +118,9 @@ def test_atoms_below_are_right_descents(n):
     for w in oracles.all_permutations(n):
         below = {
             j for j in range(1, n)
-            if weyl.left_weak_leq(weyl.simple_reflection(j, n), w)
+            if weyl.left_weak_leq(weyl.left_multiply(j, weyl.identity(n)), w)
         }
-        assert below == weyl.right_descents(w)
+        assert below == weyl.left_descents(weyl.inverse(w))
 
 
 def test_join_rejects_empty_and_mismatched():
@@ -143,32 +143,36 @@ def test_longest_parabolic_length_is_block_inversions():
     assert weyl.length(weyl.longest_parabolic({1, 3}, 4)) == 2
 
 
-def test_classify_longest_parabolic():
-    assert weyl.classify_longest_parabolic((1, 2, 3, 4)) == frozenset()
-    assert weyl.classify_longest_parabolic((2, 1, 4, 3)) == frozenset({1, 3})
-    assert weyl.classify_longest_parabolic((2, 4, 1, 3)) is None
-
-
 def test_classify_roundtrip_all_subsets():
+    # J is recovered from its longest element as the atoms below it
     for n in (3, 4):
         indices = list(range(1, n))
         for r in range(len(indices) + 1):
             for sub in combinations(indices, r):
                 w = weyl.longest_parabolic(set(sub), n)
-                assert weyl.classify_longest_parabolic(w) == frozenset(sub)
+                atoms = {
+                    j for j in indices
+                    if weyl.left_weak_leq(weyl.left_multiply(j, weyl.identity(n)), w)
+                }
+                assert atoms == set(sub)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_classify_iff_weak_interval_equals_strong_interval(n):
+    # w is a longest parabolic element exactly when the elements below it
+    # are the same in left weak and in strong Bruhat order
     strong = oracles.strong_order_pairs(n)
+    indices = range(1, n)
+    parabolic = {
+        weyl.longest_parabolic(sub, n)
+        for r in range(n) for sub in combinations(indices, r)
+    }
     for w in oracles.all_permutations(n):
         weak_down = {
             u for u in oracles.all_permutations(n) if weyl.left_weak_leq(u, w)
         }
         strong_down = {u for u in oracles.all_permutations(n) if (u, w) in strong}
-        assert (weyl.classify_longest_parabolic(w) is not None) == (
-            weak_down == strong_down
-        )
+        assert (w in parabolic) == (weak_down == strong_down)
 
 
 def test_reduced_words_examples():
