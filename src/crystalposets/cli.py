@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 from . import keymap, poset, scenarios, weyl
 from .crystal import (
@@ -48,7 +49,7 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
-def _label_string(labels: tuple[int, ...]) -> str:
+def _label_string(labels: Sequence[int]) -> str:
     if not labels or max(labels) <= 9:
         return "".join(str(i) for i in labels)
     return ",".join(str(i) for i in labels)
@@ -158,14 +159,15 @@ def _cmd_interval(args) -> int:
 def _cmd_chains(args) -> int:
     itv = _interval_or_fail(args)
     if args.components:
-        chains, components = poset.stembridge_components(itv, cap=args.cap)
+        report = poset.components_to_json(*poset.stembridge_components(itv, cap=args.cap))
         if args.format == "json":
-            print(json.dumps(poset.components_to_json(chains, components), sort_keys=True))
+            print(json.dumps(report, sort_keys=True))
         else:
-            print(f"{len(chains)} chains in {len(components)} move component(s)")
-            for k, comp in enumerate(components):
-                rep = _label_string(chains[comp[0]].labels)
-                print(f"  component {k}: {len(comp)} chains, e.g. labels {rep}")
+            print(f"{report['chain_count']} chains in "
+                  f"{report['component_count']} move component(s)")
+            for k, comp in enumerate(report["components"]):
+                rep = _label_string(comp["representative"])
+                print(f"  component {k}: {comp['size']} chains, e.g. labels {rep}")
     else:
         chains = poset.saturated_chains(itv, cap=args.cap)
         if args.format == "json":

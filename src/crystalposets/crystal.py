@@ -39,11 +39,6 @@ def check_shape(shape: Shape) -> Shape:
     return shape
 
 
-def staircase(r: int) -> Shape:
-    """The partition (r, r-1, ..., 1)."""
-    return tuple(range(r, 0, -1))
-
-
 def is_semistandard(rows: Tableau, n: int) -> bool:
     for r, row in enumerate(rows):
         for c, val in enumerate(row):
@@ -493,9 +488,9 @@ def graph_to_json(graph: CrystalGraph) -> dict:
 def graph_from_json(data: dict | str) -> CrystalGraph:
     """Rebuild a graph from the JSON schema, recomputing ranks and weights.
 
-    Intended for auditing externally produced graphs: duplicate colored
-    edges and broken gradedness are rejected here, everything deeper is the
-    axiom checker's job.
+    Intended for auditing externally produced graphs: repeated tableaux,
+    duplicate colored edges and broken gradedness are rejected here,
+    everything deeper is the axiom checker's job.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -509,6 +504,8 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     if any(not 1 <= x <= n for t in vertices for row in t for x in row):
         raise ValueError(f"tableau entries must lie in 1..{n}")
     nv = len(vertices)
+    if len(set(vertices)) != nv:
+        raise ValueError("a tableau is repeated among the vertices")
     fwd: list[dict[int, int]] = [{} for _ in range(nv)]
     bwd: list[dict[int, int]] = [{} for _ in range(nv)]
     edges: list[tuple[int, int, int]] = []

@@ -189,19 +189,13 @@ def fiber(graph: CrystalGraph, table: KeyTable, w: Permutation) -> Fiber:
     )
 
 
-def stabilizer_indices(weight_vector: tuple[int, ...]) -> frozenset[int]:
-    """Colors whose simple reflection fixes the given weight."""
-    return frozenset(
-        k + 1 for k in range(len(weight_vector) - 1)
-        if weight_vector[k] == weight_vector[k + 1]
-    )
-
-
 def shape_stabilizer(graph: CrystalGraph) -> frozenset[int]:
-    """Stabilizer of the highest weight, read off the minimum's weight."""
+    """Stabilizer of the highest weight: the colors whose simple reflection
+    fixes the minimum's weight."""
     if graph.minimum is None:
         raise ValueError("graph has no unique minimum")
-    return stabilizer_indices(graph.weights[graph.minimum])
+    wt = graph.weights[graph.minimum]
+    return frozenset(k + 1 for k in range(len(wt) - 1) if wt[k] == wt[k + 1])
 
 
 def fiber_extremes(

@@ -19,8 +19,10 @@ and :func:`move_classes_from` (the number of chain-move classes of every
 interval [source, z]).  The move-class pass splits the chains ending at z by
 their last cover a -> z, carries each class at a along that cover, and
 merges the carried classes with union-find along every square and hexagon
-whose top is z; :func:`stembridge_components` labels each saturated chain
-by walking its covers through the resulting class table.
+whose top is z.  The one chain enumerator, :func:`stembridge_components`,
+is a depth-first search that carries each prefix's class beside the path
+through that table, so no chain is walked twice; :func:`saturated_chains`
+is its chain list.
 """
 
 from __future__ import annotations
@@ -262,42 +264,11 @@ class SaturatedChain:
 
 
 def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[SaturatedChain]:
-    """All maximal chains from bottom to top, depth-first in increasing
-    color order.  A chain is fixed by its labels, so they come out sorted
-    by labels.  One path is extended and shortened in place, each chain's
-    tuples are built once at the top, and each vertex's covers are sorted
-    once."""
-    chains: list[SaturatedChain] = []
-
-    def emit(vertices: tuple[int, ...], labels: tuple[int, ...]) -> None:
-        chains.append(SaturatedChain(vertices, labels))
-        if len(chains) > cap:
-            raise ChainCapError(f"chain cap {cap} exceeded")
-
-    top = itv.maximum
-    if itv.minimum == top:
-        emit((top,), ())
-        return chains
-    covers: dict[int, list[tuple[int, int]]] = {}  # vertex -> sorted (color, cover)
-    path, labels = [itv.minimum], []
-    branches = [iter(sorted(itv.fwd[itv.minimum].items()))]  # one per path vertex
-    while branches:
-        for i, w in branches[-1]:
-            if w == top:
-                emit((*path, w), (*labels, i))
-                continue
-            if (up := covers.get(w)) is None:
-                up = covers[w] = sorted(itv.fwd[w].items())
-            path.append(w)
-            labels.append(i)
-            branches.append(iter(up))
-            break
-        else:
-            branches.pop()
-            path.pop()
-            if labels:
-                labels.pop()
-    return chains
+    """All maximal chains from bottom to top, sorted by labels: the chain
+    list of :func:`stembridge_components`, so the move-class pass runs too
+    and can raise :class:`ChainCapError` at ``MOVE_CLASS_CAP`` class
+    records.  More than ``cap`` chains raise :class:`ChainCapError`."""
+    return stembridge_components(itv, cap)[0]
 
 
 def _move_classes(
@@ -408,23 +379,55 @@ def move_classes_from(graph: CrystalGraph, source: int) -> list[int]:
 def stembridge_components(
     itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP
 ) -> tuple[list[SaturatedChain], list[list[int]]]:
-    """Connected components of the move graph on all saturated chains.
+    """All saturated chains, sorted by labels, and the components of their
+    move graph as sorted lists of chain indices, ordered by first chain.
 
-    Returns the chain list (sorted by labels) and the components as lists
-    of indices into it, each sorted, ordered by first chain.  Each chain's
-    component is its class at the top in the table of the rank-order
-    move-class pass, read by walking the chain's covers.  ``cap`` bounds
-    the chains, as in :func:`saturated_chains`.
+    One depth-first search in increasing color order (a chain is fixed by
+    its labels).  Beside the path it keeps each prefix's move class,
+    advanced along each cover through the class table of
+    :func:`_move_classes`, so a chain's component is its class at the top.
+    More than ``cap`` chains, or more than ``MOVE_CLASS_CAP`` class
+    records, raise :class:`ChainCapError`.
+
+    >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
+    >>> chains, components = stembridge_components(itv)
+    >>> [c.labels for c in chains], components
+    ([(1, 2, 2, 3), (2, 1, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1)], [[0], [1, 2], [3]])
     """
-    chains = saturated_chains(itv, cap)
     carry = _move_classes(itv, itv.minimum)[1]
-    members: dict[int, list[int]] = {}
-    for k, chain in enumerate(chains):
-        verts = chain.vertices
-        c = 0
-        for p in range(1, len(verts)):
-            c = carry[verts[p]][verts[p - 1]][c]
-        members.setdefault(c, []).append(k)
+    chains: list[SaturatedChain] = []
+    members: dict[int, list[int]] = {}  # class at the top -> chain indices
+
+    def emit(vertices: tuple[int, ...], labels: tuple[int, ...], c: int) -> None:
+        members.setdefault(c, []).append(len(chains))
+        chains.append(SaturatedChain(vertices, labels))
+        if len(chains) > cap:
+            raise ChainCapError(f"chain cap {cap} exceeded")
+
+    top = itv.maximum
+    if itv.minimum == top:
+        emit((top,), (), 0)
+        return chains, [[0]]
+    up = [sorted(covers.items()) for covers in itv.fwd]  # (color, cover) by color
+    path, labels, classes = [itv.minimum], [], [0]
+    branches = [iter(up[itv.minimum])]  # one per path vertex
+    while branches:
+        for i, w in branches[-1]:
+            c = carry[w][path[-1]][classes[-1]]
+            if w == top:
+                emit((*path, w), (*labels, i), c)
+                continue
+            path.append(w)
+            labels.append(i)
+            classes.append(c)
+            branches.append(iter(up[w]))
+            break
+        else:
+            branches.pop()
+            path.pop()
+            classes.pop()
+            if labels:
+                labels.pop()
     # each list is increasing, so sorting orders them by first chain
     return chains, sorted(members.values())
 

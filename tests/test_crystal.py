@@ -344,7 +344,11 @@ def test_json_round_trip(g32):
     assert back.minimum == g32.minimum and back.maximum == g32.maximum
 
 
-def test_json_import_rejects_duplicates_and_cycles():
+def test_json_import_rejects_duplicates_and_cycles(g21):
+    repeated = graph_to_json(g21)
+    repeated["vertices"][1] = repeated["vertices"][2]
+    with pytest.raises(ValueError):
+        graph_from_json(repeated)
     bad = {
         "shape": [1],
         "n": 2,

@@ -1,12 +1,13 @@
 """Interval extraction, Mobius values, chains, moves, and witnesses."""
 
+import random
 from collections import Counter
 
 import pytest
 
 import oracles
 from crystalposets import poset, scenarios
-from crystalposets.crystal import GraphSizeError, generate
+from crystalposets.crystal import GraphSizeError, apply_f, generate, highest
 from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.poset import (
     ChainCapError,
@@ -368,6 +369,40 @@ def test_components_match_brute_force_on_two_row_intervals(n):
     assert move_classes_from(itv, itv.minimum)[itv.maximum] == len(expected[1])
 
 
+FREE_CASES = (((4, 3), 5), ((3, 2, 1), 5), ((5, 4), 6), ((4, 2, 1), 6))
+
+
+def _random_f_walk(rng, x, n, steps):
+    """Up to ``steps`` covers from x, each uniform among the colors whose f
+    applies."""
+    for _ in range(steps):
+        ups = [y for i in range(1, n) if (y := apply_f(x, i)) is not None]
+        if not ups:
+            break
+        x = rng.choice(ups)
+    return x
+
+
+def test_chain_layer_matches_brute_force_on_free_intervals():
+    # seeds 0..119: 33,475 chains, up to 12,090 in one interval; 4 intervals
+    # have two components
+    multi = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        shape, n = FREE_CASES[seed % len(FREE_CASES)]
+        u = _random_f_walk(rng, highest(shape, n), n, rng.randint(4, 24))
+        itv = free_interval(u, _random_f_walk(rng, u, n, rng.randint(4, 10)), n)
+        expected = oracles.brute_move_components(itv)
+        chains, components = expected
+        assert stembridge_components(itv) == expected
+        assert saturated_chains(itv) == chains
+        assert move_classes_from(itv, itv.minimum)[itv.maximum] == len(components)
+        with pytest.raises(ChainCapError):
+            saturated_chains(itv, cap=len(chains) - 1)
+        multi += len(components) >= 2
+    assert multi == 4
+
+
 def test_move_class_cap(monkeypatch):
     # s2[n=5]: 374 chains in 9 classes; the pass allocates 213 class records
     itv = free_interval(*scenarios._two_row_endpoints(5), 6)
@@ -378,6 +413,8 @@ def test_move_class_cap(monkeypatch):
         move_classes_from(itv, itv.minimum)
     with pytest.raises(ChainCapError):
         stembridge_components(itv)
+    with pytest.raises(ChainCapError):  # the chain list runs the class pass too
+        saturated_chains(itv)
 
 
 def test_components_cap_bounds_chains_only(base_interval):
