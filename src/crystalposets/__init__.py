@@ -37,6 +37,7 @@ from .poset import (
     interval_mobius,
     minimal_upper_bounds,
     mobius_from,
+    move_class_summary,
     move_classes_from,
     non_stembridge_witness,
     saturated_chains,

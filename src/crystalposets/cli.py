@@ -159,7 +159,7 @@ def _cmd_interval(args) -> int:
 def _cmd_chains(args) -> int:
     itv = _interval_or_fail(args)
     if args.components:
-        report = poset.components_to_json(*poset.stembridge_components(itv, cap=args.cap))
+        report = poset.components_to_json(poset.move_class_summary(itv, args.cap))
         if args.format == "json":
             print(json.dumps(report, sort_keys=True))
         else:

@@ -99,36 +99,56 @@ def _replace(rows: Tableau, cell: Cell, val: int) -> Tableau:
     return rows[:r] + (row,) + rows[r + 1 :]
 
 
-def apply_f(rows: Tableau, i: int) -> Tableau | None:
-    """Lowering operator by the signature rule: read the columns left to
-    right, bottom to top, counting the letters i+1 not yet matched.  A
+# shape -> its cells in column reading order, filled by _reading_order; the
+# entries never change once written, so every caller may share them
+_READING_ORDER: dict[Shape, tuple[Cell, ...]] = {}
+
+
+def _reading_order(shape: Shape) -> tuple[Cell, ...]:
+    """The cells of ``shape`` in column reading order, columns left to
+    right and each bottom to top; cached in ``_READING_ORDER``."""
+    cells = tuple(
+        (r, c)
+        for c in range(shape[0] if shape else 0)
+        for r in reversed(range(sum(1 for part in shape if part > c)))
+    )
+    _READING_ORDER[shape] = cells
+    return cells
+
+
+def _lowering_cell(rows: Tableau, i: int) -> Cell | None:
+    """The cell that f_i raises, by the signature rule: read the cells in
+    column reading order, counting the letters i+1 not yet matched.  A
     letter i cancels one of them when the count is positive and survives
-    otherwise; f_i raises the last surviving i to i+1, and is undefined
-    when no i survives.
+    otherwise; f_i raises the last surviving i, and is undefined (None)
+    when no i survives."""
+    shape = tuple(map(len, rows))
+    unmatched = 0
+    last: Cell | None = None
+    up = i + 1
+    for cell in _READING_ORDER.get(shape) or _reading_order(shape):
+        val = rows[cell[0]][cell[1]]
+        if val == up:
+            unmatched += 1
+        elif val == i:
+            if unmatched:
+                unmatched -= 1
+            else:
+                last = cell
+    return last
+
+
+def apply_f(rows: Tableau, i: int) -> Tableau | None:
+    """Lowering operator: raise the cell :func:`_lowering_cell` finds in
+    one scan of the shape's cached reading order from i to i+1.
 
     >>> apply_f(((1, 2, 2, 2, 2, 3), (3, 3, 4)), 2)
     ((1, 2, 2, 2, 3, 3), (3, 3, 4))
     >>> apply_f(((1, 2), (2,)), 1) is None
     True
     """
-    unmatched = 0
-    last: Cell | None = None
-    height = len(rows)
-    for c in range(len(rows[0]) if rows else 0):
-        while len(rows[height - 1]) <= c:
-            height -= 1
-        for r in range(height - 1, -1, -1):
-            val = rows[r][c]
-            if val == i + 1:
-                unmatched += 1
-            elif val == i:
-                if unmatched:
-                    unmatched -= 1
-                else:
-                    last = (r, c)
-    if last is None:
-        return None
-    return _replace(rows, last, i + 1)
+    cell = _lowering_cell(rows, i)
+    return None if cell is None else _replace(rows, cell, i + 1)
 
 
 @dataclass
@@ -222,6 +242,11 @@ class CrystalGraph:
 def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> CrystalGraph:
     """Breadth-first closure of the superstandard tableau under all f_i.
 
+    Each f_i raises one cell from i to i+1 (:func:`_lowering_cell`), and
+    that can break semistandardness only at that cell: its right
+    neighbour must stay >= i+1 and the cell below it > i+1.  A failed
+    check raises RuntimeError.
+
     >>> len(generate((2, 1), 3))
     8
     """
@@ -237,11 +262,14 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
         head += 1
         rows = vertices[v]
         for i in range(1, n):
-            image = apply_f(rows, i)
-            if image is None:
+            cell = _lowering_cell(rows, i)
+            if cell is None:
                 continue
-            if not is_semistandard(image, n):
+            r, c = cell
+            row, below = rows[r], rows[r + 1] if r + 1 < len(rows) else ()
+            if (c + 1 < len(row) and row[c + 1] <= i) or (c < len(below) and below[c] <= i + 1):
                 raise RuntimeError(f"operator f_{i} broke semistandardness at {rows}")
+            image = _replace(rows, cell, i + 1)
             w = index.get(image)
             if w is None:
                 if len(vertices) >= max_vertices:
@@ -488,19 +516,25 @@ def graph_to_json(graph: CrystalGraph) -> dict:
 def graph_from_json(data: dict | str) -> CrystalGraph:
     """Rebuild a graph from the JSON schema, recomputing ranks and weights.
 
-    Intended for auditing externally produced graphs: repeated tableaux,
+    Intended for auditing externally produced graphs: numbers other than
+    JSON integers (floats, strings, booleans), repeated tableaux,
     duplicate colored edges and broken gradedness are rejected here,
     everything deeper is the axiom checker's job.
     """
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = int(data["n"])
-        vertices = tuple(tuple(tuple(int(x) for x in row) for row in t) for t in data["vertices"])
-        raw_edges = [tuple(int(x) for x in e) for e in data["edges"]]
-        shape = tuple(int(p) for p in data["shape"]) if data.get("shape") else None
+        n = data["n"]
+        vertices = tuple(tuple(tuple(row) for row in t) for t in data["vertices"])
+        raw_edges = [tuple(e) for e in data["edges"]]
+        shape = tuple(data["shape"]) if data.get("shape") else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed crystal graph JSON: {exc!r}") from exc
+    kinds = {type(x) for t in vertices for row in t for x in row}
+    kinds.update(type(x) for e in raw_edges for x in e)
+    kinds.update(map(type, (n, *(shape or ()))))
+    if kinds - {int}:
+        raise ValueError("shape, n, tableau entries and edges must be JSON integers")
     if any(not 1 <= x <= n for t in vertices for row in t for x in row):
         raise ValueError(f"tableau entries must lie in 1..{n}")
     nv = len(vertices)

@@ -19,10 +19,13 @@ and :func:`move_classes_from` (the number of chain-move classes of every
 interval [source, z]).  The move-class pass splits the chains ending at z by
 their last cover a -> z, carries each class at a along that cover, and
 merges the carried classes with union-find along every square and hexagon
-whose top is z.  The one chain enumerator, :func:`stembridge_components`,
-is a depth-first search that carries each prefix's class beside the path
-through that table, so no chain is walked twice; :func:`saturated_chains`
-is its chain list.
+whose top is z.  :func:`move_class_summary` makes one more rank-order pass
+over that table to get each class's chain count and least label sequence,
+so the chain-move components are summarized without listing a chain.  The
+one chain enumerator, :func:`stembridge_components`, is a depth-first
+search that carries each prefix's class beside the path through that
+table, so no chain is walked twice; :func:`saturated_chains` is its chain
+list.
 """
 
 from __future__ import annotations
@@ -376,6 +379,54 @@ def move_classes_from(graph: CrystalGraph, source: int) -> list[int]:
     return _move_classes(graph, source)[0]
 
 
+def _class_summaries(
+    itv: CrystalGraph, cap: int
+) -> tuple[list[dict[int, list[int]]], list[tuple[int, tuple[int, ...]]]]:
+    """The class table of :func:`_move_classes` from the bottom of ``itv``,
+    and (chain count, least label sequence) of each move class at the top,
+    indexed by its class id there.
+
+    One more pass in rank order: a class at z gathers the classes j at
+    each lower cover a that ``carry[z][a]`` sends to it, adding their chain
+    counts and taking the least of their least labels, each extended by the
+    color of a -> z.  Label sequences to z all have one length, so that
+    extension keeps the order.  More than ``cap`` chains raise
+    :class:`ChainCapError`.
+    """
+    count, carry = _move_classes(itv, itv.minimum)
+    summary: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(itv))]
+    summary[itv.minimum] = [(1, ())]
+    for z in sorted(range(len(itv)), key=itv.rank.__getitem__):
+        if z == itv.minimum:
+            continue
+        sizes = [0] * count[z]
+        least: list = [None] * count[z]  # (labels to a, color of a -> z)
+        for i, a in itv.bwd[z].items():
+            for (size, labels), k in zip(summary[a], carry[z][a]):
+                sizes[k] += size
+                if least[k] is None or (labels, i) < least[k]:
+                    least[k] = (labels, i)
+        summary[z] = [(size, (*labels, i)) for size, (labels, i) in zip(sizes, least)]
+    top = summary[itv.maximum]
+    if sum(size for size, _ in top) > cap:
+        raise ChainCapError(f"chain cap {cap} exceeded")
+    return carry, top
+
+
+def move_class_summary(itv: CrystalGraph, cap: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(chain count, least label sequence) of each move class of the
+    maximal chains, ordered by least labels: the sizes and first chains of
+    the components of :func:`stembridge_components`, with no chain
+    enumerated.  More than ``cap`` chains, or more than ``MOVE_CLASS_CAP``
+    class records, raise :class:`ChainCapError`.
+
+    >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
+    >>> move_class_summary(itv, 4)
+    [(1, (1, 2, 2, 3)), (2, (2, 1, 3, 2)), (1, (3, 2, 2, 1))]
+    """
+    return sorted(_class_summaries(itv, cap)[1], key=lambda s: s[1])
+
+
 def stembridge_components(
     itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP
 ) -> tuple[list[SaturatedChain], list[list[int]]]:
@@ -516,16 +567,14 @@ def interval_to_json(itv: CrystalGraph) -> dict:
     return data
 
 
-def components_to_json(chains: list[SaturatedChain], components: list[list[int]]) -> dict:
-    """Report: component sizes with one representative label sequence each."""
+def components_to_json(summary: list[tuple[int, tuple[int, ...]]]) -> dict:
+    """Report of a :func:`move_class_summary`: chain and component counts,
+    and each component's size with its least label sequence as
+    representative."""
     return {
-        "chain_count": len(chains),
-        "component_count": len(components),
+        "chain_count": sum(size for size, _ in summary),
+        "component_count": len(summary),
         "components": [
-            {
-                "size": len(comp),
-                "representative": list(chains[comp[0]].labels),
-            }
-            for comp in components
+            {"size": size, "representative": list(labels)} for size, labels in summary
         ],
     }

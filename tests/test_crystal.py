@@ -1,6 +1,7 @@
 """Tableaux, operators, graph generation, and the local-structure checker."""
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -67,6 +68,48 @@ def test_apply_f_matches_stack_signature(graphs):
         for rows in tableaux:
             for i in range(1, n):
                 assert apply_f(rows, i) == oracles.apply_f(rows, i)
+
+
+def _random_tableau(rng, n):
+    """A semistandard tableau of a random shape with at most n rows, filled
+    row by row: each entry is drawn between its lower bound (left neighbour,
+    one more than the entry above) and the largest value that leaves room
+    for the column below it."""
+    height = rng.randint(1, n)
+    shape = sorted((rng.randint(1, 5) for _ in range(height)), reverse=True)
+    rows: list[list[int]] = []
+    for r, length in enumerate(shape):
+        row: list[int] = []
+        for c in range(length):
+            below = sum(1 for part in shape[r + 1:] if part > c)
+            low = max(row[-1] if row else 1, rows[-1][c] + 1 if r else 1)
+            row.append(rng.randint(low, n - below))
+        rows.append(row)
+    return tuple(map(tuple, rows))
+
+
+def test_apply_f_matches_stack_signature_on_random_tableaux():
+    assert apply_f((), 1) is None  # the empty shape has no cell to raise
+    # seeds 0..1999 of stdlib random: shapes up to 5 columns, n = 1..5
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        rows = _random_tableau(rng, n)
+        assert crystal.is_semistandard(rows, n)
+        for i in range(1, n):
+            assert apply_f(rows, i) == oracles.apply_f(rows, i)
+
+
+def test_generate_guards_the_raised_cell(monkeypatch):
+    # raising the first surviving i instead of the last breaks a row of
+    # B((2,1),3); generate must notice at the raised cell
+    def first_survivor(rows, i):
+        plus, _ = oracles.i_signature(rows, i)
+        return plus[0] if plus else None
+
+    monkeypatch.setattr(crystal, "_lowering_cell", first_survivor)
+    with pytest.raises(RuntimeError, match=r"operator f_1 broke semistandardness"):
+        generate((2, 1), 3)
 
 
 def test_apply_e_examples():
@@ -375,9 +418,31 @@ def test_json_import_rejects_duplicates_and_cycles(g21):
         {**bad, "vertices": [[[0]], [[2]]]},
         {**bad, "vertices": [[[3]], [[2]]]},
     ]
-    for data in malformed:
+    # only JSON integers: no float (1.7 used to load as 1), string or bool,
+    # and no infinity (which used to raise OverflowError)
+    not_integers = [
+        {**bad, "vertices": [[[1.7]], [[2]]]},
+        {**bad, "edges": [[0, 1, 1.2]]},
+        {**bad, "vertices": [[["1"]], [[2]]]},
+        {**bad, "vertices": [[[True]], [[2]]]},
+        {**bad, "edges": [[0, 1, True]]},
+        {**bad, "n": "3"},
+        {**bad, "n": True},
+        {**bad, "n": 2.0},
+        {**bad, "shape": ["1"]},
+        {**bad, "shape": [1.0]},
+    ]
+    for data in malformed + not_integers:
         with pytest.raises(ValueError):
             graph_from_json(data)
+    good = json.dumps({**bad, "edges": [[0, 1, 1]]})
+    assert len(graph_from_json(good)) == 2
+    for old, new in (('"n": 2', '"n": Infinity'), ('"n": 2', '"n": 1e400'),
+                     ('"shape": [1]', '"shape": [1e400]'),
+                     ("[[[1]], [[2]]]", "[[[1]], [[1e400]]]")):
+        assert old in good
+        with pytest.raises(ValueError):
+            graph_from_json(good.replace(old, new))
     with pytest.raises(ValueError):
         graph_from_json("[1,2]")
 

@@ -17,6 +17,7 @@ from crystalposets.poset import (
     interval_mobius,
     minimal_upper_bounds,
     mobius_from,
+    move_class_summary,
     move_classes_from,
     non_stembridge_witness,
     saturated_chains,
@@ -341,6 +342,16 @@ def _move_class_cases(graphs):
         yield h, [h.minimum]
 
 
+def _check_summary(itv, brute):
+    """move_class_summary against a brute-force result, whose chains are
+    sorted by labels and components by first chain; and its chain cap."""
+    chains, components = brute
+    expected = [(len(comp), chains[comp[0]].labels) for comp in components]
+    assert move_class_summary(itv, len(chains)) == expected
+    with pytest.raises(ChainCapError, match=f"^chain cap {len(chains) - 1} exceeded$"):
+        move_class_summary(itv, len(chains) - 1)
+
+
 def test_components_match_brute_force_on_every_interval(graphs):
     for g, sources in _move_class_cases(graphs):
         for u in sources:
@@ -357,6 +368,7 @@ def test_components_match_brute_force_on_every_interval(graphs):
                 with pytest.raises(ChainCapError):
                     saturated_chains(itv, cap=len(chains) - 1)
                 assert stembridge_components(itv) == expected
+                _check_summary(itv, expected)
                 assert counts[v] == len(expected[1])
 
 
@@ -366,6 +378,7 @@ def test_components_match_brute_force_on_two_row_intervals(n):
     expected = oracles.brute_move_components(itv)
     assert len(expected[1]) >= 2
     assert stembridge_components(itv) == expected
+    _check_summary(itv, expected)
     assert move_classes_from(itv, itv.minimum)[itv.maximum] == len(expected[1])
 
 
@@ -395,6 +408,7 @@ def test_chain_layer_matches_brute_force_on_free_intervals():
         expected = oracles.brute_move_components(itv)
         chains, components = expected
         assert stembridge_components(itv) == expected
+        _check_summary(itv, expected)
         assert saturated_chains(itv) == chains
         assert move_classes_from(itv, itv.minimum)[itv.maximum] == len(components)
         with pytest.raises(ChainCapError):
@@ -415,6 +429,8 @@ def test_move_class_cap(monkeypatch):
         stembridge_components(itv)
     with pytest.raises(ChainCapError):  # the chain list runs the class pass too
         saturated_chains(itv)
+    with pytest.raises(ChainCapError, match="move-class record cap"):
+        move_class_summary(itv, 374)
 
 
 def test_components_cap_bounds_chains_only(base_interval):
@@ -477,8 +493,13 @@ def test_interval_export(base_interval):
 
 
 def test_components_export(base_interval):
-    chains, comps = stembridge_components(base_interval)
-    report = poset.components_to_json(chains, comps)
-    assert report["chain_count"] == 4
-    assert report["component_count"] == 3
-    assert sorted(c["size"] for c in report["components"]) == [1, 1, 2]
+    report = poset.components_to_json(move_class_summary(base_interval, 4))
+    assert report == {
+        "chain_count": 4,
+        "component_count": 3,
+        "components": [
+            {"size": 1, "representative": [1, 2, 2, 3]},
+            {"size": 2, "representative": [2, 1, 3, 2]},
+            {"size": 1, "representative": [3, 2, 2, 1]},
+        ],
+    }

@@ -45,6 +45,24 @@ def test_s2_at_the_largest_parameter():
         paths[z] += sum(paths[a] for a in itv.bwd[z].values())
     assert paths[itv.maximum] == 323_823
     assert poset.move_classes_from(itv, itv.minimum)[itv.maximum] == 33
+    summary = poset.move_class_summary(itv, 323_823)
+    assert len(summary) == 33
+    assert sum(size for size, _ in summary) == 323_823
+    # the increasing chain is the least of all, so its class comes first
+    assert summary[0] == (42, (1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7))
+    with pytest.raises(poset.ChainCapError, match="^chain cap 323822 exceeded$"):
+        poset.move_class_summary(itv, 323_822)
+
+
+def test_s2_lists_no_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("s2 enumerated chains")
+
+    monkeypatch.setattr(poset, "stembridge_components", refuse)
+    monkeypatch.setattr(poset, "saturated_chains", refuse)
+    cert = scenarios.s2_disconnected_chains(6)
+    assert cert.passed
+    assert cert.computed["increasing_component_chains"] == 14
 
 
 def test_s3():
