@@ -39,7 +39,7 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the caps; argparse names the flag in its error."""
+    """argparse type of --n and the caps; argparse names the flag."""
     try:
         value = int(text)
         if value >= 1:
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_shape_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--shape", required=True, help="partition, e.g. 4,3")
-        p.add_argument("--n", required=True, type=int, help="alphabet size")
+        p.add_argument("--n", required=True, type=_positive_int, help="alphabet size")
 
     p = sub.add_parser("generate", help="generate a crystal graph and export it")
     add_shape_args(p)
@@ -111,6 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _interval_or_fail(args) -> CrystalGraph:
+    # every weight and budget has n entries, scanned at each searched vertex
+    if args.n > DEFAULT_VERTEX_CAP:
+        raise ValueError(f"--n must be at most {DEFAULT_VERTEX_CAP}, got {args.n}")
     shape = _parse_shape(args.shape)
     u = tableau_from_string(args.u, args.n, shape)
     v = tableau_from_string(args.v, args.n, shape)

@@ -16,7 +16,7 @@ may be shared freely across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 Shape = tuple[int, ...]
@@ -157,46 +157,45 @@ class CrystalGraph:
 
     Vertices of a generated crystal are indexed in generation (BFS) order,
     children explored in increasing color order, which makes every export
-    reproducible.  Both forward and backward adjacency are kept per color so
-    string walks are O(1) per step; when not passed they are built from the
-    edges, and ``index`` from the vertices.  ``weights`` stores the
-    per-vertex content vectors used for interval budgets; on a reversed view
-    they are negated so that the edge rule wt(target) = wt(source) -
-    alpha_color keeps holding.
+    reproducible.  The covers are stored only as forward and backward
+    adjacency per color, so string walks are O(1) per step; ``bwd`` is
+    inverted from ``fwd`` and ``index`` built from the vertices when not
+    passed.  The edge list (:attr:`edges`) and the weights are derived.
 
     An interval [u, v] is a graph whose ``minimum`` and ``maximum`` are u and
-    v.  Its vertices are ordered by (rank, tableau), ``budget`` holds the
-    color multiset shared by all its maximal chains, ``graph_indices`` maps
-    back to the ambient graph when one was used, and ``weights`` is empty.
+    v.  Its vertices are ordered by (rank, tableau) and ``budget`` holds the
+    color multiset shared by all its maximal chains; the ambient graph's
+    ``index`` maps its tableaux back there.
     """
 
     shape: Shape | None
     n: int
     vertices: tuple[Tableau, ...]
-    edges: tuple[tuple[int, int, int], ...]
     rank: tuple[int, ...]
     minimum: int | None
     maximum: int | None
-    weights: tuple[tuple[int, ...], ...] = ()
-    budget: dict[int, int] | None = None
-    graph_indices: tuple[int, ...] | None = None
-    fwd: tuple[dict[int, int], ...] = field(default=(), repr=False)
+    fwd: tuple[dict[int, int], ...] = field(repr=False)
     bwd: tuple[dict[int, int], ...] = field(default=(), repr=False)
+    budget: dict[int, int] | None = None
     index: dict[Tableau, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.fwd:
-            fwd: list[dict[int, int]] = [{} for _ in self.vertices]
+        if not self.bwd:
             bwd: list[dict[int, int]] = [{} for _ in self.vertices]
-            for a, b, i in self.edges:
-                fwd[a][i] = b
-                bwd[b][i] = a
-            self.fwd, self.bwd = tuple(fwd), tuple(bwd)
+            for a, out in enumerate(self.fwd):
+                for i, b in out.items():
+                    bwd[b][i] = a
+            self.bwd = tuple(bwd)
         if not self.index:
             self.index = {t: k for k, t in enumerate(self.vertices)}
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The covers (a, b, i), b = f_i(a), read off ``fwd`` in order."""
+        return tuple((a, b, i) for a, out in enumerate(self.fwd) for i, b in out.items())
 
     @property
     def colors(self) -> range:
@@ -214,7 +213,8 @@ class CrystalGraph:
         return tuple(sizes)
 
     def reverse(self) -> "CrystalGraph":
-        """Dual view: edges reversed, rank flipped, weights negated.
+        """Dual view: the adjacency swapped and the rank flipped; vertices,
+        adjacency dicts and index are shared with this graph.
 
         The result is again a valid crystal graph (the color relabeling
         that would restore the usual conventions does not matter for any
@@ -222,20 +222,9 @@ class CrystalGraph:
         interval [v, u] of the dual graph.
         """
         span = self.span
-        return CrystalGraph(
-            shape=self.shape,
-            n=self.n,
-            vertices=self.vertices,
-            edges=tuple((b, a, i) for (a, b, i) in self.edges),
-            rank=tuple(span - r for r in self.rank),
-            minimum=self.maximum,
-            maximum=self.minimum,
-            weights=tuple(tuple(-c for c in wt) for wt in self.weights),
-            budget=self.budget,
-            graph_indices=self.graph_indices,
-            fwd=self.bwd,
-            bwd=self.fwd,
-            index=self.index,
+        return replace(
+            self, rank=tuple(span - r for r in self.rank), minimum=self.maximum,
+            maximum=self.minimum, fwd=self.bwd, bwd=self.fwd,
         )
 
 
@@ -245,17 +234,22 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
     Each f_i raises one cell from i to i+1 (:func:`_lowering_cell`), and
     that can break semistandardness only at that cell: its right
     neighbour must stay >= i+1 and the cell below it > i+1.  A failed
-    check raises RuntimeError.
+    check raises RuntimeError.  More than ``max_vertices`` vertices raise
+    :class:`GraphSizeError`, at once if n is above it and shape has fewer
+    than n rows, as B(shape, n) then has at least n vertices.
 
     >>> len(generate((2, 1), 3))
     8
     """
     top = highest(shape, n)
+    if len(shape) < n and n > max_vertices:
+        raise GraphSizeError(
+            f"vertex cap {max_vertices} exceeded: B({shape}, n={n}) has at least n vertices"
+        )
     vertices: list[Tableau] = [top]
     index: dict[Tableau, int] = {top: 0}
     fwd: list[dict[int, int]] = [{}]
     rank: list[int] = [0]
-    edges: list[tuple[int, int, int]] = []
     head = 0
     while head < len(vertices):
         v = head
@@ -281,28 +275,22 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
                 vertices.append(image)
                 fwd.append({})
                 rank.append(rank[v] + 1)
-            edges.append((v, w, i))
             fwd[v][i] = w
-    bwd: list[dict[int, int]] = [{} for _ in vertices]
-    for a, b, i in edges:
-        bwd[b][i] = a
-    sources = [v for v in range(len(vertices)) if not bwd[v]]
     sinks = [v for v in range(len(vertices)) if not fwd[v]]
-    if sources != [0] or len(sinks) != 1:
-        raise RuntimeError(f"crystal of {shape} lacks a unique minimum/maximum")
-    return CrystalGraph(
+    graph = CrystalGraph(
         shape=check_shape(shape),
         n=n,
         vertices=tuple(vertices),
-        edges=tuple(edges),
         fwd=tuple(fwd),
-        bwd=tuple(bwd),
         rank=tuple(rank),
-        weights=tuple(weight(t, n) for t in vertices),
         minimum=0,
-        maximum=sinks[0],
+        maximum=sinks[0] if len(sinks) == 1 else None,
         index=index,
     )
+    sources = [v for v in range(len(vertices)) if not graph.bwd[v]]
+    if sources != [0] or len(sinks) != 1:
+        raise RuntimeError(f"crystal of {shape} lacks a unique minimum/maximum")
+    return graph
 
 
 @dataclass(frozen=True)
@@ -514,12 +502,13 @@ def graph_to_json(graph: CrystalGraph) -> dict:
 
 
 def graph_from_json(data: dict | str) -> CrystalGraph:
-    """Rebuild a graph from the JSON schema, recomputing ranks and weights.
+    """Rebuild a graph from the JSON schema, recomputing the ranks.
 
     Intended for auditing externally produced graphs: numbers other than
-    JSON integers (floats, strings, booleans), repeated tableaux,
-    duplicate colored edges and broken gradedness are rejected here,
-    everything deeper is the axiom checker's job.
+    JSON integers (floats, strings, booleans), an n outside
+    1..``DEFAULT_VERTEX_CAP``, an invalid shape or a tableau not of that
+    shape, repeated tableaux, duplicate colored edges and broken gradedness
+    are rejected here, everything deeper is the axiom checker's job.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -535,6 +524,12 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     kinds.update(map(type, (n, *(shape or ()))))
     if kinds - {int}:
         raise ValueError("shape, n, tableau entries and edges must be JSON integers")
+    if not 1 <= n <= DEFAULT_VERTEX_CAP:
+        raise ValueError(f"n must lie in 1..{DEFAULT_VERTEX_CAP}, got {n}")
+    if shape is not None:
+        check_shape(shape)
+        if any(tuple(map(len, t)) != shape for t in vertices):
+            raise ValueError(f"a tableau's rows do not match shape {shape}")
     if any(not 1 <= x <= n for t in vertices for row in t for x in row):
         raise ValueError(f"tableau entries must lie in 1..{n}")
     nv = len(vertices)
@@ -542,7 +537,6 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
         raise ValueError("a tableau is repeated among the vertices")
     fwd: list[dict[int, int]] = [{} for _ in range(nv)]
     bwd: list[dict[int, int]] = [{} for _ in range(nv)]
-    edges: list[tuple[int, int, int]] = []
     for a, b, i in raw_edges:
         if not (0 <= a < nv and 0 <= b < nv and 1 <= i <= n - 1):
             raise ValueError(f"edge ({a}, {b}, {i}) out of range")
@@ -550,7 +544,6 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
             raise ValueError(f"duplicate color-{i} edge at ({a}, {b})")
         fwd[a][i] = b
         bwd[b][i] = a
-        edges.append((a, b, i))
 
     sources = [v for v in range(nv) if not bwd[v]]
     sinks = [v for v in range(nv) if not fwd[v]]
@@ -578,11 +571,9 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
         shape=shape,
         n=n,
         vertices=vertices,
-        edges=tuple(edges),
         fwd=tuple(fwd),
         bwd=tuple(bwd),
         rank=tuple(rank),
-        weights=tuple(weight(t, n) for t in vertices),
         minimum=sources[0] if len(sources) == 1 else None,
         maximum=sinks[0] if len(sinks) == 1 else None,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import weyl
-from .crystal import CrystalGraph
+from .crystal import CrystalGraph, weight
 from .poset import interval
 
 Permutation = weyl.Permutation
@@ -191,10 +191,10 @@ def fiber(graph: CrystalGraph, table: KeyTable, w: Permutation) -> Fiber:
 
 def shape_stabilizer(graph: CrystalGraph) -> frozenset[int]:
     """Stabilizer of the highest weight: the colors whose simple reflection
-    fixes the minimum's weight."""
+    fixes the minimum's weight (the lowest weight on a reversed view)."""
     if graph.minimum is None:
         raise ValueError("graph has no unique minimum")
-    wt = graph.weights[graph.minimum]
+    wt = weight(graph.vertices[graph.minimum], graph.n)
     return frozenset(k + 1 for k in range(len(wt) - 1) if wt[k] == wt[k + 1])
 
 
@@ -241,11 +241,8 @@ def minimal_fiber_elements(graph: CrystalGraph, table: KeyTable) -> dict[frozens
     out: dict[frozenset[int], int] = {}
     for r in range(len(free) + 1):
         for sub in combinations(free, r):
-            j = frozenset(sub)
-            extremes = fiber_extremes(graph, table, j)
-            if extremes is None:
-                raise FiberStructureError(f"unexpected empty fiber at indices {sorted(j)}")
-            out[j] = extremes[0]
+            # avoiding the stabilizer, the fiber is nonempty or raises
+            out[frozenset(sub)] = fiber_extremes(graph, table, frozenset(sub))[0]
     return out
 
 

@@ -40,8 +40,8 @@ from .crystal import (
     GraphSizeError,
     Tableau,
     apply_f,
-    apply_word,
     graph_to_json,
+    local_structure,
     weight,
 )
 
@@ -74,17 +74,17 @@ def _extract(
     v_key: Hashable,
     budget: dict[int, int],
     step: Callable[[Hashable, int], Hashable | None],
-    payload_of: Callable[[Hashable], Tableau],
-    graph_index_of: Callable[[Hashable], int] | None,
+    payload_of: Callable[[Hashable], Tableau] | None,
 ) -> CrystalGraph | None:
     """The interval [u, v] from one budgeted search upward from u, or None
     when v is not reached.
 
-    ``step(x, i)`` is the color-i cover of x or None.  The search records
-    every cover it takes, keyed by its upper end; [u, v] is the closure of v
-    under those recorded covers, and its edges are the recorded covers whose
-    upper end it holds.  Local indices go by (rank, payload), so extraction
-    is deterministic.
+    ``step(x, i)`` is the color-i cover of x or None, and ``payload_of(x)``
+    the tableau of x (None when the keys are the tableaux).  The search
+    records every cover it takes, keyed by its upper end; [u, v] is the
+    closure of v under those recorded covers, and its covers are the
+    recorded ones whose upper end it holds.  Local indices go by (rank,
+    tableau), so extraction is deterministic.
     """
     zero = {i: 0 for i in budget}
     usage: dict[Hashable, dict[int, int]] = {u_key: zero}
@@ -115,27 +115,36 @@ def _extract(
                 keys.add(x)
                 stack.append(x)
     rank_of = {x: sum(usage[x].values()) for x in keys}
-    ordered = sorted(keys, key=lambda x: (rank_of[x], payload_of(x)))
+    tableau = payload_of or (lambda x: x)
+    ordered = sorted(keys, key=lambda x: (rank_of[x], tableau(x)))
     local = {x: k for k, x in enumerate(ordered)}
-    covers = sorted((local[x], local[y], i) for y in ordered for i, x in below[y])
+    fwd: list[dict[int, int]] = [{} for _ in ordered]
+    bwd: list[dict[int, int]] = [{} for _ in ordered]
+    for a, b, i in sorted((local[x], local[y], i) for y in ordered for i, x in below[y]):
+        fwd[a][i] = b
+        bwd[b][i] = a
     return CrystalGraph(
         shape=None,
         n=len(budget) + 1,
-        vertices=tuple(payload_of(x) for x in ordered),
-        edges=tuple(covers),
+        vertices=tuple(map(tableau, ordered)),
+        fwd=tuple(fwd),
+        bwd=tuple(bwd),
         rank=tuple(rank_of[x] for x in ordered),
         minimum=local[u_key],
         maximum=local[v_key],
         budget=budget,
-        graph_indices=tuple(graph_index_of(x) for x in ordered) if graph_index_of else None,
-        # a free interval's keys are its tableaux, so ``local`` is its index
-        index={} if graph_index_of else local,
+        # keys that are the tableaux make ``local`` the index
+        index={} if payload_of else local,
     )
 
 
 def interval(graph: CrystalGraph, u: int, v: int) -> CrystalGraph | None:
     """Extract [u, v] from a generated graph, or None when u is not below v;
     this is also the order test.
+
+    The budget comes from the two tableaux' weights, in the orientation
+    whose total is rank[v] - rank[u] (the other one on a reversed view); a
+    graph whose ranks disagree with its weights gets None.
 
     >>> from .crystal import generate
     >>> g = generate((4, 3), 4)
@@ -144,12 +153,14 @@ def interval(graph: CrystalGraph, u: int, v: int) -> CrystalGraph | None:
     >>> len(itv), itv.span, interval_mobius(itv)
     (12, 4, 2)
     """
-    budget = _color_budget(graph.weights[u], graph.weights[v])
-    if budget is None:
-        return None
-    return _extract(
-        u, v, budget, lambda x, i: graph.fwd[x].get(i), graph.vertices.__getitem__, lambda x: x
-    )
+    wt_u, wt_v = weight(graph.vertices[u], graph.n), weight(graph.vertices[v], graph.n)
+    steps = graph.rank[v] - graph.rank[u]
+    for budget in (_color_budget(wt_u, wt_v), _color_budget(wt_v, wt_u)):
+        if budget is not None and sum(budget.values()) == steps:
+            return _extract(
+                u, v, budget, lambda x, i: graph.fwd[x].get(i), graph.vertices.__getitem__
+            )
+    return None
 
 
 def free_interval(u: Tableau, v: Tableau, n: int) -> CrystalGraph | None:
@@ -164,7 +175,7 @@ def free_interval(u: Tableau, v: Tableau, n: int) -> CrystalGraph | None:
     budget = _color_budget(weight(u, n), weight(v, n))
     if budget is None:
         return None
-    return _extract(u, v, budget, apply_f, lambda x: x, None)
+    return _extract(u, v, budget, apply_f, None)
 
 
 # -- Mobius function --------------------------------------------------------
@@ -525,20 +536,12 @@ class Witness:
     minimal_upper_bounds: tuple[int, ...]
 
 
-def _closes_locally(itv: CrystalGraph, b: int, i: int, c: int, j: int, z: int) -> bool:
-    """Does z top off the square or the hexagon over the covers b (color i)
-    and c (color j)?  Convexity makes the interval-restricted test agree
-    with the ambient one whenever z lies in the interval."""
-    if itv.fwd[b].get(j) == z and itv.fwd[c].get(i) == z:
-        return True
-    return apply_word(itv, b, (j, j, i), "f") == z and apply_word(itv, c, (i, i, j), "f") == z
-
-
 def non_stembridge_witness(itv: CrystalGraph) -> Witness | None:
     """Search the interval for a covering pair certifying a relation among
     the operators beyond the square/hexagon ones: either no least upper
-    bound inside the interval, or a least upper bound that the local
-    degree-2/degree-4 configurations do not produce.
+    bound inside the interval, or one that is not the top of the degree-2
+    or degree-4 configuration :func:`local_structure` finds over the pair
+    (by convexity, the same inside the interval as in the ambient graph).
     """
     for base in sorted(range(len(itv)), key=lambda z: (itv.rank[z], z)):
         colors = sorted(itv.fwd[base])
@@ -549,7 +552,11 @@ def non_stembridge_witness(itv: CrystalGraph) -> Witness | None:
                 mubs = minimal_upper_bounds(itv, b, c)
                 if len(mubs) >= 2:
                     return Witness("non_unique", base, b, c, tuple(mubs))
-                if mubs and not _closes_locally(itv, b, i, c, j, mubs[0]):
+                try:
+                    local = not mubs or local_structure(itv, base, i, j).top == mubs[0]
+                except ValueError:  # neither configuration closes
+                    local = False
+                if not local:
                     return Witness("nonlocal", base, b, c, tuple(mubs))
     return None
 

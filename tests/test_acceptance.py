@@ -176,7 +176,7 @@ def test_criterion_10_oracle_equivalences():
             for v in range(len(g)):
                 itv = poset.interval(g, u, v)
                 if v in upset:
-                    ok &= itv is not None and set(itv.graph_indices) == (
+                    ok &= itv is not None and {g.index[t] for t in itv.vertices} == (
                         upset & oracles.brute_downset(g, v)
                     )
                 else:

@@ -194,3 +194,22 @@ def test_malformed_tableau_literal(capsys):
                        "--u", "2,1/1", "--v", "1,1/2")
     assert code == 2
     assert "semistandard" in err or "malformed" in err
+
+
+def test_oversized_n_exits_2_at_once(capsys):
+    huge = "10000000000000000000"
+    for command in (
+        ["generate", "--shape", "1", "--n", huge],
+        ["generate", "--shape", "2,1", "--n", "11", "--max-vertices", "10"],
+        *([name, "--shape", "1", "--n", huge, "--u", "1", "--v", "2"]
+          for name in ("mobius", "interval", "chains")),
+        ["chains", "--shape", "1", "--n", "2000001", "--u", "1", "--v", "2", "--components"],
+    ):
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mobius", "--shape", "1", "--n", value, "--u", "1", "--v", "1"])
+        assert exc.value.code == 2
+        assert "argument --n: must be a positive integer" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tableaux, operators, graph generation, and the local-structure checker."""
 
+import dataclasses
 import json
 import random
 from itertools import combinations
@@ -137,7 +138,7 @@ def test_weight_examples():
 
 def test_weight_drops_by_simple_root(g43):
     for a, b, i in g43.edges:
-        wa, wb = g43.weights[a], g43.weights[b]
+        wa, wb = weight(g43.vertices[a], g43.n), weight(g43.vertices[b], g43.n)
         diff = tuple(x - y for x, y in zip(wa, wb))
         expected = tuple(
             1 if k == i - 1 else -1 if k == i else 0 for k in range(g43.n)
@@ -180,6 +181,12 @@ def test_generate_is_deterministic():
 def test_generate_vertex_cap():
     with pytest.raises(GraphSizeError):
         generate((4, 3), 4, max_vertices=10)
+    # fewer rows than n: at least n vertices, so the cap trips before the
+    # search (which would scan 10**19 colors at its first vertex)
+    for shape, n, cap in (((1,), 10**19, crystal.DEFAULT_VERTEX_CAP), ((2, 1), 11, 10)):
+        with pytest.raises(GraphSizeError, match="at least n vertices"):
+            generate(shape, n, max_vertices=cap)
+    assert len(generate((1,), 10, max_vertices=10)) == 10
 
 
 def test_rank_sizes_are_palindromic(graphs):
@@ -221,7 +228,7 @@ def test_string_stats_weight_consistency(g32):
                 bot = g32.bwd[bot][i]
             length = rise[i][v] - depth[i][v]
             diff = tuple(
-                x - y for x, y in zip(g32.weights[bot], g32.weights[top])
+                x - y for x, y in zip(weight(g32.vertices[bot], 4), weight(g32.vertices[top], 4))
             )
             expected = tuple(
                 length if k == i - 1 else -length if k == i else 0
@@ -304,11 +311,17 @@ def test_axioms_match_oracle_on_matrix(graphs):
 
 
 def _direct_graph(edges, n=3):
-    """A CrystalGraph built without the JSON import's checks."""
+    """A CrystalGraph built without the JSON import's checks; later edges
+    overwrite earlier ones of the same color at the same end."""
     size = 1 + max(max(a, b) for a, b, _ in edges)
+    fwd = [{} for _ in range(size)]
+    bwd = [{} for _ in range(size)]
+    for a, b, i in edges:
+        fwd[a][i] = b
+        bwd[b][i] = a
     return CrystalGraph(
         shape=None, n=n, vertices=tuple(((k + 1,),) for k in range(size)),
-        edges=tuple(edges), rank=(0,) * size, minimum=0, maximum=None,
+        fwd=tuple(fwd), bwd=tuple(bwd), rank=(0,) * size, minimum=0, maximum=None,
     )
 
 
@@ -417,6 +430,15 @@ def test_json_import_rejects_duplicates_and_cycles(g21):
         {**bad, "shape": 5},
         {**bad, "vertices": [[[0]], [[2]]]},
         {**bad, "vertices": [[[3]], [[2]]]},
+        # an invalid shape, or a tableau not of the shape given
+        {**bad, "shape": [-1]},
+        {**bad, "shape": [0]},
+        {**bad, "shape": [1, 5]},
+        {"shape": [2, 1], "n": 3, "vertices": [[[1, 1, 1]]], "edges": [], "rank": [0]},
+        # every later weight and budget would hold n entries
+        {**bad, "n": 0},
+        {**bad, "n": crystal.DEFAULT_VERTEX_CAP + 1},
+        {**bad, "n": 10**19},
     ]
     # only JSON integers: no float (1.7 used to load as 1), string or bool,
     # and no infinity (which used to raise OverflowError)
@@ -447,6 +469,55 @@ def test_json_import_rejects_duplicates_and_cycles(g21):
         graph_from_json("[1,2]")
 
 
+# one value of each JSON kind, ints of every size among them
+_FUZZ_VALUES = (
+    [0, 1, 2, 3, 4, -1, 2**31, 2**63, 10**19, 10**100, -(10**19), crystal.DEFAULT_VERTEX_CAP + 1]
+    + [0.0, 1.0, 1.5, -2.5, float("inf"), float("nan"), 1e300]
+    + ["", "1", "x", True, False, None, [], [1], [[1]], [[[1]]], [0, 1, 1], {}, {"1": 1}]
+)
+
+
+def _slots(node):
+    """(container, key) of every value inside a JSON document."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        yield node, key
+        if isinstance(node[key], (list, dict)):
+            yield from _slots(node[key])
+
+
+def _mutate(rng, data):
+    """One random mutation of a graph export, in place: any field, vertex,
+    row, entry, edge or edge entry replaced, a key dropped, or an edge
+    appended."""
+    kind = rng.randrange(4)
+    if kind == 0 and data:
+        del data[rng.choice(list(data))]
+    elif kind == 1 and isinstance(data.get("edges"), list):
+        data["edges"].append([rng.choice(_FUZZ_VALUES + [0, 1, 2]) for _ in range(3)])
+    elif slots := list(_slots(data)):
+        node, key = rng.choice(slots)
+        node[key] = rng.choice(_FUZZ_VALUES)
+
+
+def test_json_import_fuzz_raises_only_value_error(g21):
+    """Seeded mutations of an export: each loads or raises ValueError,
+    never another exception (a huge n used to raise OverflowError)."""
+    text = json.dumps(graph_to_json(g21))
+    rng = random.Random(2024)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(6000):
+        data = json.loads(text)
+        for _ in range(rng.randrange(1, 3)):
+            _mutate(rng, data)
+        try:
+            graph_from_json(data)
+        except ValueError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["loaded"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
 def test_dot_export(g21):
     dot = graph_to_dot(g21)
     assert dot.splitlines()[0] == "digraph crystal {"
@@ -472,6 +543,10 @@ def test_reverse_view(g32):
     span = max(g32.rank)
     assert all(rev.rank[v] == span - g32.rank[v] for v in range(len(g32)))
     assert rev.reverse().edges == g32.edges
+    # the covers are stored once: the dual shares them, and the index
+    assert rev.fwd is g32.bwd and rev.bwd is g32.fwd and rev.index is g32.index
+    names = {f.name for f in dataclasses.fields(CrystalGraph)}
+    assert names.isdisjoint({"edges", "weights", "graph_indices"})
 
 
 def test_cartan_entries():

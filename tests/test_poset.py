@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from crystalposets import poset, scenarios
-from crystalposets.crystal import GraphSizeError, apply_f, generate, highest
+from crystalposets.crystal import GraphSizeError, apply_f, generate, highest, weight
 from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.poset import (
     ChainCapError,
@@ -68,7 +68,8 @@ def test_interval_none_when_incomparable(g43):
 
 
 def test_budgeted_extraction_matches_brute_force_everywhere(graphs):
-    for g in graphs.values():
+    # the reversed views too: interval() orients the budget by the ranks
+    for g in [h for g in graphs.values() for h in (g, g.reverse())]:
         assert len(g) <= 500
         for u in range(len(g)):
             upset = oracles.brute_upset(g, u)
@@ -79,11 +80,9 @@ def test_budgeted_extraction_matches_brute_force_everywhere(graphs):
                     continue
                 members = upset & oracles.brute_downset(g, v)
                 assert itv is not None
-                assert set(itv.graph_indices) == members
-                cover_set = {
-                    (itv.graph_indices[a], itv.graph_indices[b], i)
-                    for a, b, i in itv.edges
-                }
+                ambient = [g.index[t] for t in itv.vertices]
+                assert set(ambient) == members
+                cover_set = {(ambient[a], ambient[b], i) for a, b, i in itv.edges}
                 expected = {
                     (x, y, i)
                     for x in members
@@ -119,7 +118,7 @@ def test_free_interval_agrees_with_graph_interval(graphs):
         assert got.rank == via_graph.rank
         assert got.budget == via_graph.budget
         assert (got.minimum, got.maximum) == (via_graph.minimum, via_graph.maximum)
-        assert got.graph_indices is None
+        assert got.index == via_graph.index
     assert incomparable == 37 + 2777 + 240
 
 
@@ -127,10 +126,11 @@ def test_interval_vertex_cap(g43, monkeypatch):
     # the search from the base bottom explores the 15 vertices above it
     # whose color counts stay within the budget; 12 of them are kept
     u, v = g43.index[BASE_BOTTOM], g43.index[BASE_TOP]
-    budget = poset._color_budget(g43.weights[u], g43.weights[v])
+    wt = [weight(t, 4) for t in g43.vertices]
+    budget = poset._color_budget(wt[u], wt[v])
 
     def within_budget(x):
-        used = poset._color_budget(g43.weights[u], g43.weights[x])
+        used = poset._color_budget(wt[u], wt[x])
         return all(used[i] <= budget[i] for i in budget)
 
     assert sum(map(within_budget, oracles.brute_upset(g43, u))) == 15
@@ -234,7 +234,7 @@ def test_interval_duals(graphs, key):
         dual = interval(rev, v, u)
         assert interval_mobius(itv.reverse()) == interval_mobius(itv)
         assert interval_mobius(dual) == interval_mobius(itv)
-        assert set(dual.graph_indices) == set(itv.graph_indices)
+        assert {rev.index[t] for t in dual.vertices} == {g.index[t] for t in itv.vertices}
 
 
 # -- chains and moves ---------------------------------------------------------
