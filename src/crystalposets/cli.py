@@ -111,9 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _interval_or_fail(args) -> CrystalGraph:
-    # every weight and budget has n entries, scanned at each searched vertex
-    if args.n > DEFAULT_VERTEX_CAP:
-        raise ValueError(f"--n must be at most {DEFAULT_VERTEX_CAP}, got {args.n}")
     shape = _parse_shape(args.shape)
     u = tableau_from_string(args.u, args.n, shape)
     v = tableau_from_string(args.v, args.n, shape)

@@ -1,7 +1,8 @@
 """
 Tableau crystals of type A: semistandard Young tableaux, the lowering
-operators f_i by the signature rule, full graph generation, string lengths,
-and verification of the local structure axioms.
+operators f_i by the signature rule, full graph generation (one scan per
+vertex finds every color's lowering cell), string lengths, and verification
+of the local structure axioms.
 
 A tableau is a tuple of rows, each row a tuple of integers in 1..n, weakly
 increasing along rows and strictly increasing down columns.  The crystal
@@ -138,6 +139,26 @@ def _lowering_cell(rows: Tableau, i: int) -> Cell | None:
     return last
 
 
+def _lowering_cells(rows: Tableau, n: int) -> dict[int, Cell]:
+    """:func:`_lowering_cell` for every color 1..n-1 that has one, from one
+    scan: a letter k is an "i+1" for color k-1 and an "i" for color k.
+
+    The counts and cells are keyed by the letters present, so the scan
+    costs O(|shape|) whatever n is.
+    """
+    shape = tuple(map(len, rows))
+    unmatched: dict[int, int] = {}  # color i -> letters i+1 not yet matched
+    cells: dict[int, Cell] = {}
+    for cell in _READING_ORDER.get(shape) or _reading_order(shape):
+        val = rows[cell[0]][cell[1]]
+        if unmatched.get(val):
+            unmatched[val] -= 1
+        elif val < n:
+            cells[val] = cell
+        unmatched[val - 1] = unmatched.get(val - 1, 0) + 1
+    return cells
+
+
 def apply_f(rows: Tableau, i: int) -> Tableau | None:
     """Lowering operator: raise the cell :func:`_lowering_cell` finds in
     one scan of the shape's cached reading order from i to i+1.
@@ -231,12 +252,13 @@ class CrystalGraph:
 def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> CrystalGraph:
     """Breadth-first closure of the superstandard tableau under all f_i.
 
-    Each f_i raises one cell from i to i+1 (:func:`_lowering_cell`), and
-    that can break semistandardness only at that cell: its right
-    neighbour must stay >= i+1 and the cell below it > i+1.  A failed
-    check raises RuntimeError.  More than ``max_vertices`` vertices raise
-    :class:`GraphSizeError`, at once if n is above it and shape has fewer
-    than n rows, as B(shape, n) then has at least n vertices.
+    One scan per vertex finds the cell every f_i raises from i to i+1
+    (:func:`_lowering_cells`), and raising it can break semistandardness
+    only at that cell: its right neighbour must stay >= i+1 and the cell
+    below it > i+1.  A failed check raises RuntimeError.  More than
+    ``max_vertices`` vertices raise :class:`GraphSizeError`, at once if n
+    is above it and shape has fewer than n rows, as B(shape, n) then has at
+    least n vertices.
 
     >>> len(generate((2, 1), 3))
     8
@@ -255,11 +277,9 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
         v = head
         head += 1
         rows = vertices[v]
-        for i in range(1, n):
-            cell = _lowering_cell(rows, i)
-            if cell is None:
-                continue
-            r, c = cell
+        cells = _lowering_cells(rows, n)
+        for i in sorted(cells):
+            r, c = cell = cells[i]
             row, below = rows[r], rows[r + 1] if r + 1 < len(rows) else ()
             if (c + 1 < len(row) and row[c + 1] <= i) or (c < len(below) and below[c] <= i + 1):
                 raise RuntimeError(f"operator f_{i} broke semistandardness at {rows}")
@@ -368,8 +388,10 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
     statistics at every vertex/color pair, from graph walks alone (no
     tableau formulas), so imported graphs can be audited too.
 
-    String lengths come from :func:`string_table`; the checks run vertex by
-    vertex and return the first violation.
+    String lengths come from :func:`string_table`.  The checks run vertex
+    by vertex over its lower covers in increasing color: P3 and P4 for each
+    cover, then P5 and P6 for each ordered pair of covers; the first
+    violation is returned.
     """
     colors = list(graph.colors)
     rise, depth = string_table(graph)
@@ -390,47 +412,48 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
     def circuit(v: int) -> AxiomReport:
         return AxiomReport(False, "P1", v, endless[v], None, "monochromatic circuit")
 
+    # per color i, the string columns and a_ij of every color j
+    rows = {i: [(j, depth[j], rise[j], cartan_entry(i, j)) for j in colors] for i in colors}
+    fwd, bwd, n = graph.fwd, graph.bwd, graph.n
     for b in range(len(graph.vertices)):
         if b in endless:
             return circuit(b)
-        below = graph.bwd[b]
-        for i in colors:
-            bp = below.get(i)
-            if bp is None:
-                continue
+        below = sorted(bwd[b].items())
+        if below and not (0 < below[0][0] and below[-1][0] < n):
+            # a graph built directly may hold colors outside 1..n-1; they
+            # have no strings, and are ignored as in the string table
+            below = [(i, a) for i, a in below if 0 < i < n]
+        for i, bp in below:
             if bp in endless:
                 return circuit(bp)
-            for j in colors:
-                dd = depth[j][bp] - depth[j][b]
-                de = rise[j][bp] - rise[j][b]
-                if dd + de != cartan_entry(i, j):
+            for j, dj, rj, a in rows[i]:
+                dd = dj[bp] - dj[b]
+                de = rj[bp] - rj[b]
+                if dd + de != a:
                     return AxiomReport(
-                        False, "P3", b, i, j,
-                        f"delta-depth {dd} + delta-rise {de} != a_ij {cartan_entry(i, j)}",
+                        False, "P3", b, i, j, f"delta-depth {dd} + delta-rise {de} != a_ij {a}"
                     )
                 if i != j and (dd > 0 or de > 0):
                     return AxiomReport(False, "P4", b, i, j, f"positive difference ({dd}, {de})")
 
-        for i in colors:
-            for j in colors:
-                if i == j or below.get(i) is None or below.get(j) is None:
+        for i, bi in below:
+            for j, bj in below:
+                if i == j:
                     continue
-                dd_ij = depth[j][below[i]] - depth[j][b]
+                dd_ij = depth[j][bi] - depth[j][b]
                 if dd_ij == 0:
-                    x = apply_word(graph, b, (i, j), "e")
-                    y = apply_word(graph, b, (j, i), "e")
-                    if x is None or y is None or x != y:
+                    x = bwd[bi].get(j)
+                    if x is None or x != bwd[bj].get(i):
                         return AxiomReport(False, "P5", b, i, j, "raising square does not close")
-                    fx = graph.fwd[x].get(j)
+                    fx = fwd[x].get(j)
                     if fx is None or rise[i][x] - rise[i][fx] != 0:
                         return AxiomReport(False, "P5", b, i, j, "rise condition at the top fails")
-                elif dd_ij == -1 and depth[i][below[j]] - depth[i][b] == -1:
-                    x = apply_word(graph, b, (i, j, j, i), "e")
-                    y = apply_word(graph, b, (j, i, i, j), "e")
-                    if x is None or y is None or x != y:
+                elif dd_ij == -1 and depth[i][bj] - depth[i][b] == -1:
+                    x = apply_word(graph, bi, (j, j, i), "e")
+                    if x is None or x != apply_word(graph, bj, (i, i, j), "e"):
                         return AxiomReport(False, "P6", b, i, j, "raising hexagon does not close")
-                    fxj = graph.fwd[x].get(j)
-                    fxi = graph.fwd[x].get(i)
+                    fxj = fwd[x].get(j)
+                    fxi = fwd[x].get(i)
                     if (
                         fxj is None or fxi is None
                         or rise[i][x] - rise[i][fxj] != -1

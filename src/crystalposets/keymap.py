@@ -91,22 +91,31 @@ def check_key_axioms(graph: CrystalGraph, table: KeyTable) -> KeyReport:
     """At every vertex b and color p: if no p-edge enters b then s_p must
     lengthen the key; along every p-edge the key either stays fixed or gets
     bumped by s_p, and it may only change at the bottom of a p-string.
+
+    The left descents and the bumps s_p * key are found once per distinct
+    key.
     """
+    colors = graph.colors
+    steps: dict[Permutation, tuple[frozenset[int], dict[int, Permutation]]] = {}
     for b in range(len(graph)):
         kb = table[b]
-        descents = weyl.left_descents(kb)
-        for p in graph.colors:
-            if graph.bwd[b].get(p) is None:
-                if p in descents:
-                    return KeyReport(False, b, p, "key has a left descent at a string bottom")
-            target = graph.fwd[b].get(p)
+        if (step := steps.get(kb)) is None:
+            step = steps[kb] = (
+                weyl.left_descents(kb), {p: weyl.left_multiply(p, kb) for p in colors}
+            )
+        descents, bumped = step
+        below, above = graph.bwd[b], graph.fwd[b]
+        for p in colors:
+            if p not in below and p in descents:
+                return KeyReport(False, b, p, "key has a left descent at a string bottom")
+            target = above.get(p)
             if target is None:
                 continue
             kt = table[target]
-            if graph.bwd[b].get(p) is not None:
+            if p in below:
                 if kt != kb:
                     return KeyReport(False, b, p, "key changed off the string bottom")
-            elif kt not in (kb, weyl.left_multiply(p, kb)):
+            elif kt not in (kb, bumped[p]):
                 return KeyReport(False, b, p, "key jumped outside the allowed pair")
     return KeyReport(True)
 

@@ -166,12 +166,16 @@ def interval(graph: CrystalGraph, u: int, v: int) -> CrystalGraph | None:
 def free_interval(u: Tableau, v: Tableau, n: int) -> CrystalGraph | None:
     """Extract [u, v] directly from the crystal operators, without ever
     materializing the ambient crystal; this is what makes intervals of huge
-    crystals tractable.
+    crystals tractable.  Every weight and budget has n entries, scanned at
+    each searched vertex, so an n outside 1..``DEFAULT_VERTEX_CAP`` raises
+    ValueError before any is built.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> len(itv), itv.span, interval_mobius(itv)
     (12, 4, 2)
     """
+    if not 1 <= n <= DEFAULT_VERTEX_CAP:
+        raise ValueError(f"n must lie in 1..{DEFAULT_VERTEX_CAP}, got {n}")
     budget = _color_budget(weight(u, n), weight(v, n))
     if budget is None:
         return None
@@ -340,9 +344,12 @@ def _move_classes(
                 if r1 != r2:
                     parent[max(r1, r2)] = min(r1, r2)
 
+        # a square or hexagon topping z is met from both of its last covers
+        # into z, once with colors (i, j) below z and once with (j, i); it
+        # is merged once, from the side with i < j
         for j, y in bwd[z].items():
             for i, x in bwd[y].items():
-                if i == j or not count[x]:
+                if i >= j or not count[x]:
                     continue
                 # square: x -i-> y -j-> z against x -j-> mid -i-> z
                 mid = fwd[x].get(j)

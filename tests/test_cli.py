@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, error handling."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from crystalposets import cli, scenarios
 from crystalposets.crystal import graph_from_json
 from crystalposets.scenarios import Certificate
+
+# sha256 of the stdout of `generate --shape 6,5 --n 6 --format json`
+EXPORT_DIGEST = "27d5159d28a16c615a6a64d361e52177c3836dfddb1d062e94c56c10d38e5cfc"
 
 FIG_ARGS = [
     "--shape", "4,3", "--n", "4",
@@ -33,6 +37,12 @@ def test_generate_json_round_trips(capsys):
     graph = graph_from_json(json.loads(out))
     assert len(graph) == 60
     assert graph.minimum == 0
+
+
+def test_generate_export_digest(capsys):
+    code, out, _ = run(capsys, "generate", "--shape", "6,5", "--n", "6", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_DIGEST
 
 
 def test_generate_dot(capsys):

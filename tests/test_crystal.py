@@ -101,14 +101,43 @@ def test_apply_f_matches_stack_signature_on_random_tableaux():
             assert apply_f(rows, i) == oracles.apply_f(rows, i)
 
 
+def test_lowering_cells_match_one_color_scans(graphs):
+    # the all-colors scan against one scan per color, at every vertex of the
+    # matrix graphs and on the seeded random tableaux above
+    cases = [(rows, g.n) for g in graphs.values() for rows in g.vertices]
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        cases.append((_random_tableau(rng, n), n))
+    for rows, n in cases:
+        expected = {i: cell for i in range(1, n) if (cell := crystal._lowering_cell(rows, i))}
+        assert crystal._lowering_cells(rows, n) == expected
+
+
+def test_generate_scans_each_vertex_once(monkeypatch):
+    # B((1,), n) has n vertices of one letter each: one scan per vertex,
+    # none per color, so n = 5000 stays linear
+    calls = []
+    scan = crystal._lowering_cells
+
+    def counted(rows, n):
+        calls.append(rows)
+        return scan(rows, n)
+
+    monkeypatch.setattr(crystal, "_lowering_cells", counted)
+    g = generate((1,), 5000)
+    assert len(g) == len(calls) == 5000
+    assert g.edges == tuple((k, k + 1, k + 1) for k in range(4999))
+
+
 def test_generate_guards_the_raised_cell(monkeypatch):
     # raising the first surviving i instead of the last breaks a row of
     # B((2,1),3); generate must notice at the raised cell
-    def first_survivor(rows, i):
-        plus, _ = oracles.i_signature(rows, i)
-        return plus[0] if plus else None
+    def first_survivors(rows, n):
+        signatures = {i: oracles.i_signature(rows, i)[0] for i in range(1, n)}
+        return {i: plus[0] for i, plus in signatures.items() if plus}
 
-    monkeypatch.setattr(crystal, "_lowering_cell", first_survivor)
+    monkeypatch.setattr(crystal, "_lowering_cells", first_survivors)
     with pytest.raises(RuntimeError, match=r"operator f_1 broke semistandardness"):
         generate((2, 1), 3)
 
@@ -182,7 +211,7 @@ def test_generate_vertex_cap():
     with pytest.raises(GraphSizeError):
         generate((4, 3), 4, max_vertices=10)
     # fewer rows than n: at least n vertices, so the cap trips before the
-    # search (which would scan 10**19 colors at its first vertex)
+    # search (which would run through 10**19 vertices)
     for shape, n, cap in (((1,), 10**19, crystal.DEFAULT_VERTEX_CAP), ((2, 1), 11, 10)):
         with pytest.raises(GraphSizeError, match="at least n vertices"):
             generate(shape, n, max_vertices=cap)
@@ -342,6 +371,50 @@ def test_axioms_report_circuits_like_the_oracle():
         report = check_stembridge_axioms(g)
         assert report == oracles.brute_stembridge_axioms(g)
         assert (report.axiom, report.vertex, report.i) == ("P1", *witness)
+
+
+def _cut_with_b_first(g, b, cut):
+    """The edges of g with each edge in ``cut`` given a fresh source vertex,
+    and the labels of b and 0 swapped, so the checker visits b first."""
+    swap = {b: 0, 0: b}
+    fresh = len(g)
+    edges = []
+    for a, t, i in g.edges:
+        if (a, t, i) in cut:
+            a, fresh = fresh, fresh + 1
+        edges.append((swap.get(a, a), swap.get(t, t), i))
+    return _direct_graph(edges, n=g.n)
+
+
+def test_axioms_report_the_first_violation_at_a_vertex(g32):
+    # at b of B((3,2),4), cutting the color-1 edge into its color-3 cover
+    # breaks the square of the pair (1, 3); cutting the one into its color-2
+    # cover breaks the square of (2, 1), while (1, 2) is not a square there.
+    # With both cut, the report is the first ordered pair (i, j).
+    b = g32.index[((1, 2, 4), (3, 3))]
+    into = {j: (g32.bwd[x][1], x, 1) for j, x in g32.bwd[b].items() if j != 1}
+    for cut, witness in (
+        ({into[3]}, ("P5", 0, 1, 3)),
+        ({into[2]}, ("P5", 0, 2, 1)),
+        ({into[2], into[3]}, ("P5", 0, 1, 3)),
+    ):
+        g = _cut_with_b_first(g32, b, cut)
+        report = check_stembridge_axioms(g)
+        assert report == oracles.brute_stembridge_axioms(g)
+        assert (report.axiom, report.vertex, report.i, report.j) == witness
+    # cutting the color-1 edge into b itself gives a P4 under i = 1 and a P3
+    # under i = 3; each lower cover is checked in full before the next
+    b = g32.index[((1, 2, 2), (3, 4))]
+    g = _cut_with_b_first(g32, b, {(g32.bwd[b][1], b, 1)})
+    report = check_stembridge_axioms(g)
+    assert report == oracles.brute_stembridge_axioms(g)
+    assert (report.axiom, report.vertex, report.i, report.j) == ("P4", 0, 1, 3)
+
+
+def test_axioms_ignore_colors_outside_the_range(g21):
+    # colors 0 and 3 of n = 3 have no strings; the checker skips them
+    g = _direct_graph([*g21.edges, (0, 7, 3), (7, 0, 0)])
+    assert check_stembridge_axioms(g) == oracles.brute_stembridge_axioms(g) == AxiomReport(True)
 
 
 def test_axioms_stop_on_backward_only_circuit():

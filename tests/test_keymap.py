@@ -108,6 +108,20 @@ def test_key_axioms_match_oracle_on_one_step_perturbations(keyed):
     assert len(details) == 3
 
 
+def test_key_report_names_the_first_color_at_a_vertex(keyed):
+    # with the key 132 at 1,2/3 of B((2,1),3), the key changes along its
+    # color-1 edge off the string bottom, and the color-2 string bottom has
+    # a left descent; colors are checked in increasing order, each in full
+    g, table = keyed[((2, 1), 3)]
+    b = g.index[((1, 2), (3,))]
+    keys = list(table.keys)
+    keys[b] = (1, 3, 2)
+    bad = KeyTable(n=3, keys=tuple(keys))
+    report = check_key_axioms(g, bad)
+    assert report == oracles.length_check_key_axioms(g, bad)
+    assert report == keymap.KeyReport(False, b, 1, "key changed off the string bottom")
+
+
 def test_adapted_strings_small_graph_exhaustive(keyed):
     g, table = keyed[((2, 1), 3)]
     for v in range(len(g)):

@@ -143,6 +143,15 @@ def test_interval_vertex_cap(g43, monkeypatch):
         free_interval(BASE_BOTTOM, BASE_TOP, 4)
 
 
+def test_free_interval_rejects_n_outside_the_vertex_cap():
+    # every weight and budget has n entries: an n out of range is a
+    # ValueError before any is built, not an OverflowError or a huge list
+    for n in (0, poset.DEFAULT_VERTEX_CAP + 1, 10**19):
+        with pytest.raises(ValueError, match="n must lie in"):
+            free_interval(((1,),), ((2,),), n)
+    assert len(free_interval(((1,),), ((2,),), 2)) == 2
+
+
 # -- Mobius -------------------------------------------------------------------
 
 def test_mobius_trivial_cases(g43):
