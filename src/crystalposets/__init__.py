@@ -22,7 +22,6 @@ from .crystal import (
 )
 from .keymap import (
     KeyTable,
-    adapted_string_check,
     check_key_axioms,
     compute_keys,
     demazure,
@@ -47,11 +46,7 @@ from .scenarios import Certificate, run_all
 from .weyl import (
     left_multiply,
     left_weak_join,
-    left_weak_leq,
-    length,
     longest_parabolic,
-    reduced_word_count,
-    reduced_words,
     strong_bruhat_leq,
 )
 

@@ -2,7 +2,8 @@
 Tableau crystals of type A: semistandard Young tableaux, the lowering
 operators f_i by the signature rule, full graph generation (one scan per
 vertex finds every color's lowering cell), string lengths, and verification
-of the local structure axioms.
+of the local structure axioms, whose squares and hexagons one walk finds
+for the checker, :func:`local_structure` and the chain moves.
 
 A tableau is a tuple of rows, each row a tuple of integers in 1..n, weakly
 increasing along rows and strictly increasing down columns.  The crystal
@@ -341,6 +342,33 @@ def apply_word(graph: CrystalGraph, v: int, word: Iterable[int], direction: str)
     return cur
 
 
+def _closure(
+    down: tuple[dict[int, int], ...], z: int, i: int, j: int, steps: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The square (``steps`` 2) or hexagon (4) at z along ``down``: the walks
+    from z by the colors (i, j, j, i) and by (j, i, i, j), cut to ``steps``,
+    as vertex tuples, or None unless both end at one vertex.  z must have
+    covers of both colors.  On ``bwd`` these are the raising closures of
+    Stembridge's axioms P5 and P6; on ``fwd``, the same closures above z.
+
+    >>> g = generate((4, 3), 4)
+    >>> for side in _closure(g.fwd, g.index[((1, 1, 1, 2), (2, 3, 4))], 1, 2, 4):
+    ...     print(" ".join(tableau_to_string(g.vertices[x]) for x in side))
+    1,1,1,2/2,3,4 1,1,2,2/2,3,4 1,1,2,3/2,3,4 1,1,2,3/3,3,4 1,2,2,3/3,3,4
+    1,1,1,2/2,3,4 1,1,1,2/3,3,4 1,1,2,2/3,3,4 1,2,2,2/3,3,4 1,2,2,3/3,3,4
+    """
+    x1, y1 = down[z][i], down[z][j]
+    x2, y2 = down[x1].get(j), down[y1].get(i)
+    if steps == 2:
+        return ((z, x1, x2), (z, y1, y2)) if x2 is not None and x2 == y2 else None
+    x3 = down[x2].get(j) if x2 is not None else None
+    y3 = down[y2].get(i) if y2 is not None else None
+    x4 = down[x3].get(i) if x3 is not None else None
+    if x4 is None or y3 is None or x4 != down[y3].get(j):
+        return None
+    return (z, x1, x2, x3, x4), (z, y1, y2, y3, x4)
+
+
 _UNSEEN, _ON_PATH = object(), object()
 
 
@@ -440,37 +468,32 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
             for j, bj in below:
                 if i == j:
                     continue
+                # a square (P5) when dd_ij = 0, a hexagon (P6) when both are -1
                 dd_ij = depth[j][bi] - depth[j][b]
                 if dd_ij == 0:
-                    x = bwd[bi].get(j)
-                    if x is None or x != bwd[bj].get(i):
-                        return AxiomReport(False, "P5", b, i, j, "raising square does not close")
-                    fx = fwd[x].get(j)
-                    if fx is None or rise[i][x] - rise[i][fx] != 0:
-                        return AxiomReport(False, "P5", b, i, j, "rise condition at the top fails")
+                    axiom, steps, shape = "P5", 2, "square"
                 elif dd_ij == -1 and depth[i][bj] - depth[i][b] == -1:
-                    x = apply_word(graph, bi, (j, j, i), "e")
-                    if x is None or x != apply_word(graph, bj, (i, i, j), "e"):
-                        return AxiomReport(False, "P6", b, i, j, "raising hexagon does not close")
-                    fxj = fwd[x].get(j)
-                    fxi = fwd[x].get(i)
-                    if (
-                        fxj is None or fxi is None
-                        or rise[i][x] - rise[i][fxj] != -1
-                        or rise[j][x] - rise[j][fxi] != -1
-                    ):
-                        return AxiomReport(False, "P6", b, i, j, "rise condition at the top fails")
+                    axiom, steps, shape = "P6", 4, "hexagon"
+                else:
+                    continue
+                sides = _closure(bwd, b, i, j, steps)
+                if sides is None:
+                    return AxiomReport(False, axiom, b, i, j, f"raising {shape} does not close")
+                # at the far end x, f_j moves the i-rise by dd_ij, and at a
+                # hexagon f_i moves the j-rise by -1
+                x = sides[0][-1]
+                fxj = fwd[x].get(j)
+                if fxj is None or rise[i][x] - rise[i][fxj] != dd_ij or steps == 4 and (
+                    (fxi := fwd[x].get(i)) is None or rise[j][x] - rise[j][fxi] != -1
+                ):
+                    return AxiomReport(False, axiom, b, i, j, "rise condition at the top fails")
     return AxiomReport(True)
 
 
 @dataclass(frozen=True)
 class LocalStructure:
-    """How two covers f_i(u), f_j(u) close above u.
-
-    ``degree`` is 2 when a single square closes, 4 when the two length-4
-    chains (with label patterns j,j,i and i,i,j) meet; ``top`` is the common
-    endpoint and ``chains`` the vertex paths from u upward.
-    """
+    """How f_i(u) and f_j(u) close above u: the square (``degree`` 2) or
+    hexagon (4) that :func:`_closure` walks, its ``top`` and sides (``chains``)."""
 
     degree: int
     top: int
@@ -485,29 +508,19 @@ def local_structure(graph: CrystalGraph, u: int, i: int, j: int) -> LocalStructu
     """
     if i == j:
         raise ValueError("colors must differ")
-    v = graph.fwd[u].get(i)
-    w = graph.fwd[u].get(j)
-    if v is None or w is None:
+    if i not in graph.fwd[u] or j not in graph.fwd[u]:
         raise ValueError(f"vertex {u} lacks outgoing colors {i} and {j}")
-    x2 = graph.fwd[v].get(j)
-    if x2 is not None and x2 == graph.fwd[w].get(i):
-        return LocalStructure(2, x2, ((u, v, x2), (u, w, x2)))
-    via_v = apply_word(graph, v, (j, j, i), "f")
-    via_w = apply_word(graph, w, (i, i, j), "f")
-    if via_v is not None and via_v == via_w:
-        # by weights, a shorter closure over v and w could only sit two
-        # steps up, reached by {i,j} from one side and a repeated color
-        # from the other; rule both patterns out
-        for side, a, b in ((v, j, i), (w, i, j)):
-            other = w if side is v else v
-            mixed = {apply_word(graph, side, (a, b), "f"), apply_word(graph, side, (b, a), "f")}
-            repeated = apply_word(graph, other, (b, b), "f")
-            if repeated is not None and repeated in mixed:
+    sides = _closure(graph.fwd, u, i, j, 2) or _closure(graph.fwd, u, i, j, 4)
+    if sides is None:
+        raise ValueError(f"no degree 2 or 4 closure above vertex {u} for colors ({i}, {j})")
+    if len(sides[0]) == 5:
+        (_, v, _, v3, _), (_, w, _, w3, _) = sides
+        # by weights, a shorter closure over v and w could only sit two steps
+        # up, reached by {i, j} from one side and f_i f_i w or f_j f_j v
+        for side, repeated in ((v, w3), (w, v3)):
+            if repeated in {apply_word(graph, side, word, "f") for word in ((i, j), (j, i))}:
                 raise ValueError(f"closure of length 2 coexists with degree-4 data at {u}")
-        cv = (u, v, graph.fwd[v][j], apply_word(graph, v, (j, j), "f"), via_v)
-        cw = (u, w, graph.fwd[w][i], apply_word(graph, w, (i, i), "f"), via_w)
-        return LocalStructure(4, via_v, (cv, cw))
-    raise ValueError(f"no degree 2 or 4 closure above vertex {u} for colors ({i}, {j})")
+    return LocalStructure(len(sides[0]) - 1, sides[0][-1], sides)
 
 
 # -- serialization ----------------------------------------------------------
@@ -530,8 +543,8 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     Intended for auditing externally produced graphs: numbers other than
     JSON integers (floats, strings, booleans), an n outside
     1..``DEFAULT_VERTEX_CAP``, an invalid shape or a tableau not of that
-    shape, repeated tableaux, duplicate colored edges and broken gradedness
-    are rejected here, everything deeper is the axiom checker's job.
+    shape, repeated tableaux, duplicate or parallel edges and broken
+    gradedness are rejected; anything deeper is the axiom checker's job.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -565,6 +578,8 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
             raise ValueError(f"edge ({a}, {b}, {i}) out of range")
         if i in fwd[a] or i in bwd[b]:
             raise ValueError(f"duplicate color-{i} edge at ({a}, {b})")
+        if b in fwd[a].values():  # f_i(a) and f_j(a) differ in weight
+            raise ValueError(f"parallel edges from {a} to {b}")
         fwd[a][i] = b
         bwd[b][i] = a
 

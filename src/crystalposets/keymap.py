@@ -120,19 +120,6 @@ def check_key_axioms(graph: CrystalGraph, table: KeyTable) -> KeyReport:
     return KeyReport(True)
 
 
-def adapted_string_check(graph: CrystalGraph, table: KeyTable, b: int) -> bool:
-    """For every reduced word of the key of b, greedily exhausting each
-    raising color in turn starting at b must land exactly on the minimum."""
-    for word in sorted(weyl.reduced_words(table[b])):
-        cur = b
-        for i in word:
-            while (nxt := graph.bwd[cur].get(i)) is not None:
-                cur = nxt
-        if cur != graph.minimum:
-            return False
-    return True
-
-
 @dataclass
 class Fiber:
     """A key-map fiber with the order induced from the crystal poset.

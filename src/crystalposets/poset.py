@@ -19,19 +19,20 @@ and :func:`move_classes_from` (the number of chain-move classes of every
 interval [source, z]).  The move-class pass splits the chains ending at z by
 their last cover a -> z, carries each class at a along that cover, and
 merges the carried classes with union-find along every square and hexagon
-whose top is z.  :func:`move_class_summary` makes one more rank-order pass
-over that table to get each class's chain count and least label sequence,
-so the chain-move components are summarized without listing a chain.  The
-one chain enumerator, :func:`stembridge_components`, is a depth-first
-search that carries each prefix's class beside the path through that
-table, so no chain is walked twice; :func:`saturated_chains` is its chain
-list.
+below z, found by the closure walk the axiom checker uses too.
+:func:`move_class_summary` makes one more rank-order pass over that table
+to get each class's chain count and least label sequence, so the
+chain-move components are summarized without listing a chain.  The one
+chain enumerator, :func:`stembridge_components`, is a depth-first search
+that carries each prefix's class beside the path through that table, so
+no chain is walked twice; :func:`saturated_chains` is its chain list.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Hashable, Sequence
 
 from .crystal import (
@@ -39,6 +40,7 @@ from .crystal import (
     CrystalGraph,
     GraphSizeError,
     Tableau,
+    _closure,
     apply_f,
     graph_to_json,
     local_structure,
@@ -299,14 +301,14 @@ def _move_classes(
     the class at z of the chains that run through class j at the lower
     cover a and then take the cover a -> z.
 
-    A chain move swaps a segment of a chain for the other side of a square
-    (colors (i, j) against (j, i)) or of a hexagon ((i, j, j, i) against
-    (j, i, i, j)) with the same ends.  A move either stays inside the prefix
-    chain to the last lower cover, or swaps a segment that ends at z.  So
-    the classes at z are the carried classes of its lower covers, merged
-    with union-find along the squares and hexagons whose top is z.
+    A chain move swaps one side of a square or hexagon (the colors
+    (i, j, j, i) against (j, i, i, j), cut to 2 or 4) for the other.  It
+    either stays inside the prefix chain to the last lower cover or swaps a
+    segment that ends at z, so the classes at z are the carried classes of
+    its lower covers, merged with union-find along the sides of each square
+    and hexagon that ``crystal._closure`` finds below z.
     """
-    fwd, bwd = graph.fwd, graph.bwd
+    bwd = graph.bwd
     count = [0] * len(graph)
     carry: list[dict[int, list[int]]] = [{} for _ in range(len(graph))]
     count[source] = 1
@@ -344,36 +346,20 @@ def _move_classes(
                 if r1 != r2:
                     parent[max(r1, r2)] = min(r1, r2)
 
-        # a square or hexagon topping z is met from both of its last covers
-        # into z, once with colors (i, j) below z and once with (j, i); it
-        # is merged once, from the side with i < j
-        for j, y in bwd[z].items():
-            for i, x in bwd[y].items():
-                if i >= j or not count[x]:
-                    continue
-                # square: x -i-> y -j-> z against x -j-> mid -i-> z
-                mid = fwd[x].get(j)
-                if mid is not None and fwd[mid].get(i) == z:
-                    merge(
-                        [offset[y] + c for c in carry[y][x]],
-                        [offset[mid] + c for c in carry[mid][x]],
-                    )
-                # hexagon: s -j-> w -i-> x -i-> y -j-> z against
-                # s -i-> t1 -j-> t2 -j-> t3 -i-> z
-                w = bwd[x].get(i)
-                s = bwd[w].get(j) if w is not None else None
-                if s is None or not count[s]:
-                    continue
-                t1 = fwd[s].get(i)
-                t2 = fwd[t1].get(j) if t1 is not None else None
-                t3 = fwd[t2].get(j) if t2 is not None else None
-                if t3 is None or fwd[t3].get(i) != z:
-                    continue
-                via_y = carry[y][x]
-                via_t3 = carry[t3][t2]
+        for i, j in combinations(bwd[z], 2):
+            square = _closure(bwd, z, i, j, 2)
+            if square is not None and count[square[0][2]]:
+                (_, x1, x), (_, y1, _) = square
                 merge(
-                    [offset[y] + via_y[carry[x][w][c]] for c in carry[w][s]],
-                    [offset[t3] + via_t3[carry[t2][t1][c]] for c in carry[t1][s]],
+                    [offset[x1] + c for c in carry[x1][x]],
+                    [offset[y1] + c for c in carry[y1][x]],
+                )
+            hexagon = _closure(bwd, z, i, j, 4)
+            if hexagon is not None and count[hexagon[0][4]]:
+                (_, x1, x2, x3, s), (_, y1, y2, y3, _) = hexagon
+                merge(
+                    [offset[x1] + carry[x1][x2][carry[x2][x3][c]] for c in carry[x3][s]],
+                    [offset[y1] + carry[y1][y2][carry[y2][y3][c]] for c in carry[y3][s]],
                 )
         label: dict[int, int] = {}  # root record -> class id at z
         for a, base in offset.items():
@@ -551,20 +537,17 @@ def non_stembridge_witness(itv: CrystalGraph) -> Witness | None:
     (by convexity, the same inside the interval as in the ambient graph).
     """
     for base in sorted(range(len(itv)), key=lambda z: (itv.rank[z], z)):
-        colors = sorted(itv.fwd[base])
-        for s in range(len(colors)):
-            for t in range(s + 1, len(colors)):
-                i, j = colors[s], colors[t]
-                b, c = itv.fwd[base][i], itv.fwd[base][j]
-                mubs = minimal_upper_bounds(itv, b, c)
-                if len(mubs) >= 2:
-                    return Witness("non_unique", base, b, c, tuple(mubs))
-                try:
-                    local = not mubs or local_structure(itv, base, i, j).top == mubs[0]
-                except ValueError:  # neither configuration closes
-                    local = False
-                if not local:
-                    return Witness("nonlocal", base, b, c, tuple(mubs))
+        for i, j in combinations(sorted(itv.fwd[base]), 2):
+            b, c = itv.fwd[base][i], itv.fwd[base][j]
+            mubs = minimal_upper_bounds(itv, b, c)
+            if len(mubs) >= 2:
+                return Witness("non_unique", base, b, c, tuple(mubs))
+            try:
+                local = not mubs or local_structure(itv, base, i, j).top == mubs[0]
+            except ValueError:  # neither configuration closes
+                local = False
+            if not local:
+                return Witness("nonlocal", base, b, c, tuple(mubs))
     return None
 
 

@@ -1,7 +1,7 @@
 """
-Symmetric group layer: permutations in one-line notation, length, reduced
-words, the left weak and strong Bruhat orders, weak-order joins, and longest
-elements of parabolic subgroups.
+Symmetric group layer: permutations in one-line notation, left descents,
+the strong Bruhat order, left weak order joins, and longest elements of
+parabolic subgroups.
 
 A permutation of {1, ..., n} is represented by the tuple
 (w(1), ..., w(n)).  All functions are pure and all values immutable, so
@@ -12,8 +12,8 @@ Simple reflections act on the left by swapping the *values* i and i+1:
 
 Orders used throughout:
 
-- left weak order: covers w < s_i * w whenever the length goes up; tested
-  via containment of inversion sets of the inverses, held as int bitmasks.
+- left weak order: covers w < s_i * w whenever the length goes up; joins
+  work on the inversion sets of the inverses, held as int bitmasks.
 - strong Bruhat order: tested via the sorted-prefix (Ehresmann) criterion.
 """
 
@@ -26,12 +26,6 @@ Permutation = tuple[int, ...]
 # Everything here is exact and intended for desk-scale exploration; S_12 has
 # ~479M elements and anything bigger than that is a mistake, not a use case.
 MAX_N = 12
-# w0 in S_6 has 292,864 reduced words, w0 in S_7 has 1,100,742,656
-MAX_REDUCED_WORDS = 1_000_000
-
-
-class ReducedWordCapError(ValueError):
-    """Raised when a permutation has more than MAX_REDUCED_WORDS reduced words."""
 
 
 def check_permutation(w: Permutation, n: int | None = None) -> Permutation:
@@ -57,16 +51,6 @@ def inverse(w: Permutation) -> Permutation:
     for pos, val in enumerate(w):
         inv[val - 1] = pos + 1
     return tuple(inv)
-
-
-def length(w: Permutation) -> int:
-    """Coxeter length = number of inversion pairs (i < j with w(i) > w(j)).
-
-    >>> length((1, 2, 3, 4)), length((2, 4, 1, 3)), length((4, 3, 2, 1))
-    (0, 3, 6)
-    """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
 def left_multiply(i: int, w: Permutation) -> Permutation:
@@ -101,18 +85,6 @@ def _inverse_inversions(w: Permutation) -> int:
                 mask |= 1 << (off + a)
         off += b
     return mask
-
-
-def left_weak_leq(u: Permutation, w: Permutation) -> bool:
-    """u <= w in left weak order, via Inv(u^-1) <= Inv(w^-1).
-
-    >>> left_weak_leq((2, 1, 3, 4), (3, 2, 1, 4))
-    True
-    >>> left_weak_leq((2, 1, 3, 4), (1, 3, 2, 4))
-    False
-    """
-    _same_n(u, w)
-    return not _inverse_inversions(u) & ~_inverse_inversions(w)
 
 
 def strong_bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -213,70 +185,6 @@ def left_descents(w: Permutation) -> frozenset[int]:
     """
     pos = inverse(w)
     return frozenset(i for i in range(1, len(w)) if pos[i - 1] > pos[i])
-
-
-def reduced_word_count(w: Permutation) -> int:
-    """Number of reduced words of w, by memoized recursion over left
-    descents; raises ReducedWordCapError as soon as a count exceeds
-    MAX_REDUCED_WORDS (counts only grow going up in left weak order).
-
-    >>> reduced_word_count((4, 3, 2, 1))
-    16
-    """
-    w = tuple(w)
-    memo: dict[Permutation, int] = {}
-
-    def count(u: Permutation) -> int:
-        if (known := memo.get(u)) is not None:
-            return known
-        total = sum(count(left_multiply(i, u)) for i in left_descents(u)) or 1
-        if total > MAX_REDUCED_WORDS:
-            raise ReducedWordCapError(
-                f"{permutation_to_string(w)} has more than "
-                f"MAX_REDUCED_WORDS = {MAX_REDUCED_WORDS} reduced words"
-            )
-        memo[u] = total
-        return total
-
-    return count(w)
-
-
-def reduced_words(w: Permutation) -> set[tuple[int, ...]]:
-    """All reduced words (i_1, ..., i_l) with s_{i_1} ... s_{i_l} = w.
-
-    Enumerated recursively through left descents: each reduced word starts
-    with a left descent i and continues with a reduced word of s_i * w.
-    The words are counted first, so a permutation with more than
-    MAX_REDUCED_WORDS of them raises ReducedWordCapError before any is built.
-
-    >>> sorted(reduced_words((3, 2, 1)))
-    [(1, 2, 1), (2, 1, 2)]
-    >>> len(reduced_words((4, 3, 2, 1)))
-    16
-    """
-    reduced_word_count(w)
-    return _reduced_words(w)
-
-
-def _reduced_words(w: Permutation) -> set[tuple[int, ...]]:
-    """Depth-first over left descents, each permutation's descent steps
-    found once per call; every word is built once, at the identity."""
-    steps: dict[Permutation, list[tuple[int, Permutation]]] = {}
-    words: set[tuple[int, ...]] = set()
-    path: list[int] = []
-
-    def walk(u: Permutation) -> None:
-        if (down := steps.get(u)) is None:
-            down = steps[u] = [(i, left_multiply(i, u)) for i in sorted(left_descents(u))]
-        if not down:
-            words.add(tuple(path))
-        for i, x in down:
-            path.append(i)
-            walk(x)
-            path.pop()
-
-    walk(w)
-    return words
 
 
 def permutation_to_string(w: Permutation) -> str:

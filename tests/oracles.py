@@ -15,7 +15,9 @@ length comparisons as a reference for the package's left-descent test.
 The signature rule keeps its symbol-stack form, with both surviving words
 and the raising operator e_i, as the reference for the package's counting
 scan in ``apply_f``; the chain moves are enumerated chain by chain, as the
-reference for the package's rank-order move classes.
+reference for the package's rank-order move classes.  Coxeter length, the
+left weak order test, reduced words (with their cap) and the adapted-string
+check of the key table live here too: only tests call them.
 """
 
 from __future__ import annotations
@@ -38,6 +40,84 @@ def all_permutations(n: int) -> list[tuple[int, ...]]:
     return sorted(permutations(range(1, n + 1)))
 
 
+def length(w: tuple[int, ...]) -> int:
+    """Coxeter length = number of inversion pairs (i < j with w(i) > w(j))."""
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+
+
+def left_weak_leq(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
+    """u <= w in left weak order, via Inv(u^-1) <= Inv(w^-1) on the
+    package's inversion bitmasks."""
+    weyl._same_n(u, w)
+    return not weyl._inverse_inversions(u) & ~weyl._inverse_inversions(w)
+
+
+# w0 in S_6 has 292,864 reduced words, w0 in S_7 has 1,100,742,656
+MAX_REDUCED_WORDS = 1_000_000
+
+
+class ReducedWordCapError(ValueError):
+    """Raised when a permutation has more than MAX_REDUCED_WORDS reduced words."""
+
+
+def reduced_word_count(w: tuple[int, ...]) -> int:
+    """Number of reduced words of w, by memoized recursion over left
+    descents; raises ReducedWordCapError as soon as a count exceeds
+    MAX_REDUCED_WORDS (counts only grow going up in left weak order)."""
+    w = tuple(w)
+    memo: dict[tuple[int, ...], int] = {}
+
+    def count(u: tuple[int, ...]) -> int:
+        if (known := memo.get(u)) is not None:
+            return known
+        total = sum(count(weyl.left_multiply(i, u)) for i in weyl.left_descents(u)) or 1
+        if total > MAX_REDUCED_WORDS:
+            raise ReducedWordCapError(
+                f"{weyl.permutation_to_string(w)} has more than "
+                f"MAX_REDUCED_WORDS = {MAX_REDUCED_WORDS} reduced words"
+            )
+        memo[u] = total
+        return total
+
+    return count(w)
+
+
+def reduced_words(w: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """All reduced words (i_1, ..., i_l) with s_{i_1} ... s_{i_l} = w.
+
+    Enumerated recursively through left descents: each reduced word starts
+    with a left descent i and continues with a reduced word of s_i * w.
+    The words are counted first, so a permutation with more than
+    MAX_REDUCED_WORDS of them raises ReducedWordCapError before any is built.
+    """
+    reduced_word_count(w)
+    return _reduced_words(w)
+
+
+def _reduced_words(w: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Depth-first over left descents, each permutation's descent steps
+    found once per call; every word is built once, at the identity."""
+    steps: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    words: set[tuple[int, ...]] = set()
+    path: list[int] = []
+
+    def walk(u: tuple[int, ...]) -> None:
+        if (down := steps.get(u)) is None:
+            down = steps[u] = [
+                (i, weyl.left_multiply(i, u)) for i in sorted(weyl.left_descents(u))
+            ]
+        if not down:
+            words.add(tuple(path))
+        for i, x in down:
+            path.append(i)
+            walk(x)
+            path.pop()
+
+    walk(w)
+    return words
+
+
 def left_weak_upset(u: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Everything reachable from u by length-increasing left multiplications."""
     n = len(u)
@@ -47,7 +127,7 @@ def left_weak_upset(u: tuple[int, ...]) -> set[tuple[int, ...]]:
         w = queue.popleft()
         for i in range(1, n):
             s = weyl.left_multiply(i, w)
-            if weyl.length(s) == weyl.length(w) + 1 and s not in seen:
+            if length(s) == length(w) + 1 and s not in seen:
                 seen.add(s)
                 queue.append(s)
     return seen
@@ -64,11 +144,11 @@ def strong_order_pairs(n: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
             word = list(w)
             word[a], word[b] = word[b], word[a]
             t = tuple(word)
-            if weyl.length(t) == weyl.length(w) + 1:
+            if length(t) == length(w) + 1:
                 out.append(t)
         return out
 
-    for w in sorted(perms, key=weyl.length, reverse=True):
+    for w in sorted(perms, key=length, reverse=True):
         acc = {w}
         for c in covers(w):
             acc |= reachable[c]
@@ -82,10 +162,10 @@ def brute_left_weak_join(ws: list[tuple[int, ...]]) -> tuple[int, ...]:
     ubs = [
         w
         for w in all_permutations(n)
-        if all(weyl.left_weak_leq(u, w) for u in ws)
+        if all(left_weak_leq(u, w) for u in ws)
     ]
-    best = min(ubs, key=weyl.length)
-    assert all(weyl.left_weak_leq(best, w) for w in ubs)
+    best = min(ubs, key=length)
+    assert all(left_weak_leq(best, w) for w in ubs)
     return best
 
 
@@ -96,7 +176,7 @@ def brute_reduced_words(w: tuple[int, ...]) -> set[tuple[int, ...]]:
     s_i extends the suffix (i, ...) toward the full word.
     """
     n = len(w)
-    ell = weyl.length(w)
+    ell = length(w)
     found: set[tuple[int, ...]] = set()
 
     def search(suffix: tuple[int, ...], current: tuple[int, ...]) -> None:
@@ -106,7 +186,7 @@ def brute_reduced_words(w: tuple[int, ...]) -> set[tuple[int, ...]]:
             return
         for i in range(1, n):
             nxt = weyl.left_multiply(i, current)
-            if weyl.length(nxt) == weyl.length(current) + 1:
+            if length(nxt) == length(current) + 1:
                 search((i,) + suffix, nxt)
 
     search((), weyl.identity(n))
@@ -380,10 +460,10 @@ def length_check_key_axioms(graph: CrystalGraph, table) -> KeyReport:
     descents."""
     for b in range(len(graph)):
         kb = table[b]
-        lb = weyl.length(kb)
+        lb = length(kb)
         for p in graph.colors:
             if graph.bwd[b].get(p) is None:
-                if weyl.length(weyl.left_multiply(p, kb)) <= lb:
+                if length(weyl.left_multiply(p, kb)) <= lb:
                     return KeyReport(False, b, p, "key has a left descent at a string bottom")
             target = graph.fwd[b].get(p)
             if target is None:
@@ -395,6 +475,19 @@ def length_check_key_axioms(graph: CrystalGraph, table) -> KeyReport:
             elif kt not in (kb, weyl.left_multiply(p, kb)):
                 return KeyReport(False, b, p, "key jumped outside the allowed pair")
     return KeyReport(True)
+
+
+def adapted_string_check(graph: CrystalGraph, table, b: int) -> bool:
+    """For every reduced word of the key of b, greedily exhausting each
+    raising color in turn starting at b must land exactly on the minimum."""
+    for word in sorted(reduced_words(table[b])):
+        cur = b
+        for i in word:
+            while (nxt := graph.bwd[cur].get(i)) is not None:
+                cur = nxt
+        if cur != graph.minimum:
+            return False
+    return True
 
 
 def brute_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:

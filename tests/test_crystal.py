@@ -464,6 +464,25 @@ def test_local_structure_rejects_bad_input(g21):
         local_structure(g21, g21.maximum, 1, 2)
 
 
+def test_local_structure_names_what_fails_to_close(g21):
+    # the hexagon above the minimum of B((2,1),3), colors 1 and 2
+    hexagon = local_structure(g21, 0, 1, 2)
+    assert (hexagon.degree, hexagon.top) == (4, 7)
+    assert hexagon.chains == ((0, 1, 3, 5, 7), (0, 2, 4, 6, 7))
+    cut = _direct_graph([e for e in g21.edges if e != (5, 7, 1)])
+    no_closure = r"^no degree 2 or 4 closure above vertex 0 for colors \(1, 2\)$"
+    with pytest.raises(ValueError, match=no_closure):
+        local_structure(cut, 0, 1, 2)
+    # f_1 f_2 f_1 u = f_1 f_1 f_2 u, or f_2 f_1 f_2 u = f_2 f_2 f_1 u: the
+    # covers f_1 u and f_2 u also close two steps up
+    coexists = "^closure of length 2 coexists with degree-4 data at 0$"
+    for extra in ((3, 6, 1), (4, 5, 2)):
+        g = _direct_graph([*g21.edges, extra])
+        for i, j in ((1, 2), (2, 1)):
+            with pytest.raises(ValueError, match=coexists):
+                local_structure(g, 0, i, j)
+
+
 def test_json_round_trip(g32):
     data = json.loads(json.dumps(graph_to_json(g32)))
     back = graph_from_json(data)
@@ -487,6 +506,10 @@ def test_json_import_rejects_duplicates_and_cycles(g21):
     }
     with pytest.raises(ValueError):
         graph_from_json(bad)
+    # two edges a -> b of different colors: f_1(a) and f_2(a) differ in weight
+    parallel = {**bad, "n": 3, "edges": [[0, 1, 1], [0, 1, 2]]}
+    with pytest.raises(ValueError, match="^parallel edges from 0 to 1$"):
+        graph_from_json(parallel)
     cyclic = {
         "shape": [1],
         "n": 3,

@@ -11,7 +11,6 @@ from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.keymap import (
     FiberStructureError,
     KeyTable,
-    adapted_string_check,
     check_key_axioms,
     compute_keys,
     demazure,
@@ -60,7 +59,7 @@ def test_keys_are_lowest_coset_representatives(keyed):
 def test_key_map_is_a_poset_map(keyed):
     for _, (g, table) in keyed.items():
         for a, b, i in g.edges:
-            assert weyl.left_weak_leq(table[a], table[b])
+            assert oracles.left_weak_leq(table[a], table[b])
             assert table[b] in (table[a], weyl.left_multiply(i, table[a]))
 
 
@@ -125,13 +124,13 @@ def test_key_report_names_the_first_color_at_a_vertex(keyed):
 def test_adapted_strings_small_graph_exhaustive(keyed):
     g, table = keyed[((2, 1), 3)]
     for v in range(len(g)):
-        assert adapted_string_check(g, table, v)
+        assert oracles.adapted_string_check(g, table, v)
 
 
 def test_adapted_strings_big_graph(keyed):
     g, table = keyed[((4, 3), 4)]
     for v in range(len(g)):
-        assert adapted_string_check(g, table, v)
+        assert oracles.adapted_string_check(g, table, v)
 
 
 def test_fiber_at_identity(keyed):

@@ -7,7 +7,15 @@ import pytest
 
 import oracles
 from crystalposets import poset, scenarios
-from crystalposets.crystal import GraphSizeError, apply_f, generate, highest, weight
+from crystalposets.crystal import (
+    GraphSizeError,
+    apply_f,
+    generate,
+    graph_from_json,
+    graph_to_json,
+    highest,
+    weight,
+)
 from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.poset import (
     ChainCapError,
@@ -424,6 +432,48 @@ def test_chain_layer_matches_brute_force_on_free_intervals():
             saturated_chains(itv, cap=len(chains) - 1)
         multi += len(components) >= 2
     assert multi == 4
+
+
+def _imported_mutants(g, seed, count):
+    """Seeded ``graph_from_json`` mutants of g, 1-3 edges each deleted,
+    recolored or retargeted, and their reverses, kept when they have a
+    unique minimum and maximum."""
+    rng = random.Random(seed)
+    data = graph_to_json(g)
+    for _ in range(count):
+        edges = [list(e) for e in data["edges"]]
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(edges))
+            kind = rng.randrange(3)
+            if kind == 0:
+                del edges[k]
+            elif kind == 1:
+                edges[k][2] = rng.randrange(1, g.n)
+            else:
+                edges[k][1] = rng.randrange(len(g))
+        try:
+            mutant = graph_from_json({**data, "edges": edges})
+        except ValueError:
+            continue
+        for h in (mutant, mutant.reverse()):
+            if h.minimum is not None and h.maximum is not None:
+                yield h
+
+
+def test_move_classes_match_brute_force_on_imported_mutants():
+    # the move-class pass on graphs no crystal generates, with squares and
+    # hexagons broken or misplaced; mutants with two edges a -> b are
+    # rejected at import, as the pass keys its class records by lower cover
+    cases = multi = 0
+    for seed, key in enumerate((((2, 1), 3), ((2, 1), 4), ((2, 2), 4), ((3, 1), 4))):
+        for h in _imported_mutants(generate(*key), seed, 450):
+            expected = oracles.brute_move_components(h)
+            assert stembridge_components(h) == expected
+            _check_summary(h, expected)
+            assert move_classes_from(h, h.minimum)[h.maximum] == len(expected[1])
+            cases += 1
+            multi += len(expected[1]) >= 2
+    assert (cases, multi) == (558, 270)
 
 
 def test_move_class_cap(monkeypatch):
