@@ -18,8 +18,9 @@ of enumerating: :func:`mobius_from` (mu from one source to every vertex)
 and :func:`move_classes_from` (the number of chain-move classes of every
 interval [source, z]).  The move-class pass splits the chains ending at z by
 their last cover a -> z, carries each class at a along that cover, and
-merges the carried classes with union-find along every square and hexagon
-below z, found by the closure walk the axiom checker uses too.
+merges the carried classes with union-find along the square below z of
+each pair of its lower-cover colors, or along the hexagon where the square
+does not close, found by the closure walk the axiom checker uses too.
 :func:`move_class_summary` makes one more rank-order pass over that table
 to get each class's chain count and least label sequence, so the
 chain-move components are summarized without listing a chain.  The one
@@ -307,6 +308,12 @@ def _move_classes(
     segment that ends at z, so the classes at z are the carried classes of
     its lower covers, merged with union-find along the sides of each square
     and hexagon that ``crystal._closure`` finds below z.
+
+    For each pair of colors of z's lower covers the pass merges along the
+    square if it closes, else along the hexagon.  When the square closes at
+    x, both sides of that pair's hexagon (if any) pass through x and then
+    close a square below x, which the pass merged when it handled x, so the
+    hexagon would merge nothing new; this holds on any imported graph.
     """
     bwd = graph.bwd
     count = [0] * len(graph)
@@ -348,12 +355,14 @@ def _move_classes(
 
         for i, j in combinations(bwd[z], 2):
             square = _closure(bwd, z, i, j, 2)
-            if square is not None and count[square[0][2]]:
-                (_, x1, x), (_, y1, _) = square
-                merge(
-                    [offset[x1] + c for c in carry[x1][x]],
-                    [offset[y1] + c for c in carry[y1][x]],
-                )
+            if square is not None:
+                if count[square[0][2]]:
+                    (_, x1, x), (_, y1, _) = square
+                    merge(
+                        [offset[x1] + c for c in carry[x1][x]],
+                        [offset[y1] + c for c in carry[y1][x]],
+                    )
+                continue  # the pair's hexagon adds nothing (see above)
             hexagon = _closure(bwd, z, i, j, 4)
             if hexagon is not None and count[hexagon[0][4]]:
                 (_, x1, x2, x3, s), (_, y1, y2, y3, _) = hexagon

@@ -12,10 +12,17 @@ provenance tag: "reported" values are fixed targets, "derived" values are
 recomputed inline by an independent brute-force oracle before being
 compared.  The certificate stream is deterministic; runtimes are kept out
 of the canonical JSON so that two runs agree byte for byte.
+
+:func:`run_all` is the driver.  The scenarios that read a generated crystal
+take a lookup ``crystal(shape, n)`` as their first argument, and one run
+passes them all one cached lookup, so it generates each crystal once.  The
+driver also times each scenario call and records it as the certificate's
+``runtime``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -48,6 +55,10 @@ TWO_ROW_N = range(3, 8)
 BASE_BOTTOM = ((1, 1, 1, 2), (2, 3, 4))
 BASE_TOP = ((1, 1, 2, 3), (3, 4, 4))
 
+# crystal(shape, n): the crystal graph B(shape, n); run_all passes one
+# cached lookup to every scenario that reads a generated crystal
+CrystalLookup = Callable[[tuple[int, ...], int], CrystalGraph]
+
 
 @dataclass
 class Certificate:
@@ -57,7 +68,7 @@ class Certificate:
     expected: object
     computed: object
     passed: bool
-    runtime: float
+    runtime: float = 0.0  # set by run_all, which times each scenario
 
     def to_json(self) -> dict:
         # runtime deliberately omitted: the certificate stream must be
@@ -73,16 +84,8 @@ class Certificate:
 
 
 def _certify(scenario: str, claim: str, provenance: str,
-             expected: object, computed: object, started: float) -> Certificate:
-    return Certificate(
-        scenario=scenario,
-        claim=claim,
-        provenance=provenance,
-        expected=expected,
-        computed=computed,
-        passed=expected == computed,
-        runtime=time.perf_counter() - started,
-    )
+             expected: object, computed: object) -> Certificate:
+    return Certificate(scenario, claim, provenance, expected, computed, expected == computed)
 
 
 # -- independent brute-force oracles (used to recompute derived targets) ----
@@ -110,10 +113,9 @@ def _catalan(k: int) -> int:
 
 # -- scenarios ---------------------------------------------------------------
 
-def s1_base_interval() -> Certificate:
+def s1_base_interval(crystal: CrystalLookup) -> Certificate:
     """Mobius value 2 on the 12-vertex rank-4 interval of B((4,3),4)."""
-    started = time.perf_counter()
-    graph = generate((4, 3), 4)
+    graph = crystal((4, 3), 4)
     u, v = graph.index[BASE_BOTTOM], graph.index[BASE_TOP]
     itv = poset.interval(graph, u, v)
     chains = poset.saturated_chains(itv)
@@ -138,7 +140,6 @@ def s1_base_interval() -> Certificate:
         "reported mu; derived vertex count",
         expected,
         computed,
-        started,
     )
 
 
@@ -167,7 +168,6 @@ def s2_disconnected_chains(n: int) -> Certificate:
     label-increasing chain's component counted by a Catalan number.  The
     class counts come from the move-class summaries, so no chain is
     listed."""
-    started = time.perf_counter()
     _check_two_row(n)
     itv = poset.free_interval(*_two_row_endpoints(n), n + 1)
     carry, classes = poset._class_summaries(itv, poset.DEFAULT_CHAIN_CAP)
@@ -207,7 +207,6 @@ def s2_disconnected_chains(n: int) -> Certificate:
         "reported",
         expected,
         computed,
-        started,
     )
 
 
@@ -245,7 +244,6 @@ def _split_composite(rows: Tableau, r: int) -> tuple[Tableau, ...]:
 def s3_product_mobius(r: int = 2) -> Certificate:
     """Mobius value 2^r on the composite interval, which is verified to be
     isomorphic to the r-fold product of the base interval."""
-    started = time.perf_counter()
     base = poset.free_interval(BASE_BOTTOM, BASE_TOP, 4)
     bottom, top, n = _composite_endpoints(r)
     itv = poset.free_interval(bottom, top, n)
@@ -292,7 +290,6 @@ def s3_product_mobius(r: int = 2) -> Certificate:
         "reported mu; derived isomorphism",
         expected,
         computed,
-        started,
     )
 
 
@@ -308,10 +305,9 @@ def _rank_profiles(base_sizes: tuple[int, ...], r: int) -> Iterable[tuple[int, i
     return sorted(profile.items())
 
 
-def s4_non_lattice() -> Certificate:
+def s4_non_lattice(crystal: CrystalLookup) -> Certificate:
     """Two incomparable minimal upper bounds inside B((4,3),4)."""
-    started = time.perf_counter()
-    graph = generate((4, 3), 4)
+    graph = crystal((4, 3), 4)
     t = graph.index[((1, 1, 2, 2), (2, 3, 4))]
     s = graph.index[((1, 1, 1, 2), (3, 3, 4))]
     bound_one = graph.index[BASE_TOP]
@@ -340,14 +336,12 @@ def s4_non_lattice() -> Certificate:
         "reported",
         expected,
         computed,
-        started,
     )
 
 
-def s5_disconnected_fiber() -> Certificate:
+def s5_disconnected_fiber(crystal: CrystalLookup) -> Certificate:
     """The key fiber at 2413 in B((3,2),4) has components of sizes 2 and 6."""
-    started = time.perf_counter()
-    graph = generate((3, 2), 4)
+    graph = crystal((3, 2), 4)
     table = keymap.compute_keys(graph)
     fib = keymap.fiber(graph, table, (2, 4, 1, 3))
     identity_fiber = keymap.fiber(graph, table, weyl.identity(4))
@@ -371,16 +365,16 @@ def s5_disconnected_fiber() -> Certificate:
         "reported",
         expected,
         computed,
-        started,
     )
 
 
-def s6_lower_interval_mobius(shape: tuple[int, ...], n: int) -> Certificate:
+def s6_lower_interval_mobius(
+    crystal: CrystalLookup, shape: tuple[int, ...], n: int
+) -> Certificate:
     """mu(min, x) lands in {0, +-1}, vanishing except at fiber minima of
     longest parabolic elements, where the sign is (-1)^|J|; dually for
     mu(x, max) on the reversed graph."""
-    started = time.perf_counter()
-    graph = generate(shape, n)
+    graph = crystal(shape, n)
 
     def classify(g: CrystalGraph) -> tuple[bool, int]:
         table = keymap.compute_keys(g)
@@ -410,7 +404,6 @@ def s6_lower_interval_mobius(shape: tuple[int, ...], n: int) -> Certificate:
         "reported",
         expected,
         computed,
-        started,
     )
 
 
@@ -419,11 +412,12 @@ def _lower_intervals_connected(graph: CrystalGraph) -> bool:
     return all(c == 1 for c in poset.move_classes_from(graph, graph.minimum))
 
 
-def s7_axioms_and_connectivity(shape: tuple[int, ...], n: int) -> Certificate:
+def s7_axioms_and_connectivity(
+    crystal: CrystalLookup, shape: tuple[int, ...], n: int
+) -> Certificate:
     """Local axioms hold everywhere and chain moves connect the maximal
     chains of every lower interval, and dually of every upper interval."""
-    started = time.perf_counter()
-    graph = generate(shape, n)
+    graph = crystal(shape, n)
     report = check_stembridge_axioms(graph)
     expected = {
         "axioms": True,
@@ -442,19 +436,17 @@ def s7_axioms_and_connectivity(shape: tuple[int, ...], n: int) -> Certificate:
         "reported",
         expected,
         computed,
-        started,
     )
 
 
-def s8_witness_from_mobius() -> Certificate:
+def s8_witness_from_mobius(crystal: CrystalLookup) -> Certificate:
     """Wherever |mu| >= 2 in the test matrix there is a covering pair with
     no least upper bound inside the interval; and every degree-2/degree-4
     local upper bound is a minimal upper bound."""
-    started = time.perf_counter()
     big_intervals = 0
     witnesses = 0
     for shape, n in DEFAULT_MATRIX:
-        graph = generate(shape, n)
+        graph = crystal(shape, n)
         for u in range(len(graph)):
             for v, mu in enumerate(poset.mobius_from(graph, u)):
                 if abs(mu) >= 2:
@@ -468,7 +460,7 @@ def s8_witness_from_mobius() -> Certificate:
     big_intervals += 1
     witnesses += 1 if composite_witness else 0
 
-    graph = generate((4, 3), 4)
+    graph = crystal((4, 3), 4)
     local_bounds_minimal = True
     for u in range(len(graph)):
         for i, j in combinations(sorted(graph.fwd[u]), 2):
@@ -498,13 +490,11 @@ def s8_witness_from_mobius() -> Certificate:
         "reported",
         expected,
         computed,
-        started,
     )
 
 
-def s10_staircase_sphere() -> Certificate:
+def s10_staircase_sphere(crystal: CrystalLookup) -> Certificate:
     """mu(min, max) is (-1)^rank for staircase shapes and 0 otherwise."""
-    started = time.perf_counter()
     cases = (
         ((2, 1), 3, 1),
         ((3, 2, 1), 4, -1),
@@ -515,7 +505,7 @@ def s10_staircase_sphere() -> Certificate:
     expected = {}
     computed = {}
     for shape, n, target in cases:
-        graph = generate(shape, n)
+        graph = crystal(shape, n)
         tag = _shape_tag(shape, n)
         expected[tag] = target
         mu = poset.lower_mobius_all(graph)[graph.maximum]
@@ -529,7 +519,6 @@ def s10_staircase_sphere() -> Certificate:
         "derived",
         expected,
         computed,
-        started,
     )
 
 
@@ -539,20 +528,21 @@ def _shape_tag(shape: tuple[int, ...], n: int) -> str:
 
 # -- driver -------------------------------------------------------------------
 
-def _scenario_thunks(n_max: int) -> list[tuple[str, Callable[[], Certificate]]]:
-    thunks: list[tuple[str, Callable[[], Certificate]]] = [
-        ("s1", s1_base_interval),
-        ("s4", s4_non_lattice),
-        ("s5", s5_disconnected_fiber),
-        ("s8", s8_witness_from_mobius),
-        ("s10", s10_staircase_sphere),
-        ("s3", s3_product_mobius),
+def _scenario_thunks(n_max: int, crystal: CrystalLookup) -> list[tuple[str, Callable, tuple]]:
+    """(scenario id, function, arguments) for every scenario of a run."""
+    thunks: list[tuple[str, Callable, tuple]] = [
+        ("s1", s1_base_interval, (crystal,)),
+        ("s4", s4_non_lattice, (crystal,)),
+        ("s5", s5_disconnected_fiber, (crystal,)),
+        ("s8", s8_witness_from_mobius, (crystal,)),
+        ("s10", s10_staircase_sphere, (crystal,)),
+        ("s3", s3_product_mobius, ()),
     ]
     for n in range(TWO_ROW_N[0], n_max + 1):
-        thunks.append(("s2", lambda n=n: s2_disconnected_chains(n)))
+        thunks.append(("s2", s2_disconnected_chains, (n,)))
     for shape, n in DEFAULT_MATRIX:
-        thunks.append(("s6", lambda shape=shape, n=n: s6_lower_interval_mobius(shape, n)))
-        thunks.append(("s7", lambda shape=shape, n=n: s7_axioms_and_connectivity(shape, n)))
+        thunks.append(("s6", s6_lower_interval_mobius, (crystal, shape, n)))
+        thunks.append(("s7", s7_axioms_and_connectivity, (crystal, shape, n)))
     return thunks
 
 
@@ -563,27 +553,27 @@ def _sort_key(cert: Certificate) -> tuple[int, str]:
 
 def run_all(n_max: int = 5, only: str | None = None) -> list[Certificate]:
     """Run the certificate suite; ``only`` filters by scenario id (e.g. "s2").
-    ``n_max`` is the largest two-row parameter of s2, in :data:`TWO_ROW_N`."""
+    ``n_max`` is the largest two-row parameter of s2, in :data:`TWO_ROW_N`.
+
+    The scenarios share one crystal lookup, so each crystal is generated at
+    most once per run and dropped when the run ends; each certificate's
+    ``runtime`` is the time of its scenario call, generation included."""
     _check_two_row(n_max)
-    thunks = _scenario_thunks(n_max)
+    thunks = _scenario_thunks(n_max, functools.cache(generate))
     if only is not None:
-        thunks = [(sid, fn) for sid, fn in thunks if sid == only]
+        thunks = [thunk for thunk in thunks if thunk[0] == only]
         if not thunks:
             raise ValueError(f"unknown scenario id {only!r}")
     certificates = []
-    for sid, fn in thunks:
+    for sid, fn, args in thunks:
+        started = time.perf_counter()
         try:
-            certificates.append(fn())
+            cert = fn(*args)
         except Exception as exc:  # a crashed scenario is a failed scenario
-            certificates.append(Certificate(
-                scenario=sid,
-                claim="scenario crashed",
-                provenance="reported",
-                expected="completion",
-                computed=f"{type(exc).__name__}: {exc}",
-                passed=False,
-                runtime=0.0,
-            ))
+            cert = Certificate(sid, "scenario crashed", "reported", "completion",
+                               f"{type(exc).__name__}: {exc}", False)
+        cert.runtime = time.perf_counter() - started
+        certificates.append(cert)
     return sorted(certificates, key=_sort_key)
 
 

@@ -25,7 +25,7 @@ def report(number: int, ok: bool, text: str, seconds: float) -> None:
 
 def test_criterion_1_base_interval_mobius():
     start = time.perf_counter()
-    cert = scenarios.s1_base_interval()
+    cert = scenarios.s1_base_interval(generate)
     ok = (
         cert.passed
         and cert.computed["mobius"] == 2
@@ -67,7 +67,7 @@ def test_criterion_3_product_interval():
 
 def test_criterion_4_disconnected_fiber():
     start = time.perf_counter()
-    cert = scenarios.s5_disconnected_fiber()
+    cert = scenarios.s5_disconnected_fiber(generate)
     ok = (
         cert.passed
         and cert.computed["size"] == 8
@@ -82,7 +82,7 @@ def test_criterion_5_mobius_classification():
     start = time.perf_counter()
     ok = True
     for shape, n in MATRIX:
-        cert = scenarios.s6_lower_interval_mobius(shape, n)
+        cert = scenarios.s6_lower_interval_mobius(generate, shape, n)
         ok &= cert.passed
     elapsed = time.perf_counter() - start
     ok &= elapsed < 300.0
@@ -113,7 +113,7 @@ def test_criterion_7_axioms_and_connectivity():
     start = time.perf_counter()
     ok = True
     for shape, n in MATRIX:
-        cert = scenarios.s7_axioms_and_connectivity(shape, n)
+        cert = scenarios.s7_axioms_and_connectivity(generate, shape, n)
         ok &= cert.passed
     elapsed = time.perf_counter() - start
     report(7, ok, "local axioms hold and all lower/upper intervals have one "
@@ -122,9 +122,9 @@ def test_criterion_7_axioms_and_connectivity():
 
 def test_criterion_8_witnesses():
     start = time.perf_counter()
-    cert = scenarios.s8_witness_from_mobius()
+    cert = scenarios.s8_witness_from_mobius(generate)
     ok = cert.passed
-    ok &= scenarios.s4_non_lattice().passed
+    ok &= scenarios.s4_non_lattice(generate).passed
     elapsed = time.perf_counter() - start
     report(8, ok, "every |mu| >= 2 interval yields a witness; local upper bounds "
                   "are minimal; the two incomparable bounds are found", elapsed)
@@ -132,7 +132,7 @@ def test_criterion_8_witnesses():
 
 def test_criterion_9_staircase_values():
     start = time.perf_counter()
-    cert = scenarios.s10_staircase_sphere()
+    cert = scenarios.s10_staircase_sphere(generate)
     ok = cert.passed and cert.computed == {
         "2,1|n=3": 1,
         "3,2,1|n=4": -1,

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from crystalposets import poset, scenarios
+from crystalposets.crystal import generate
 
 # sha256 of certificates_to_json(run_all(n_max=6)); the canonical stream of
 # `crystalposets verify --n-max 6 --format json` must stay byte-identical
@@ -12,7 +13,7 @@ CERTIFY_DIGEST = "0e303205cd2f69b5c3f7598b9007f6eda9e6085d6e47c803682d2905930f35
 
 
 def test_s1():
-    cert = scenarios.s1_base_interval()
+    cert = scenarios.s1_base_interval(generate)
     assert cert.passed
     assert cert.computed["mobius"] == 2
     assert cert.computed["vertices"] == 12
@@ -81,33 +82,33 @@ def test_s3_degenerates_to_base_interval():
 
 
 def test_s4():
-    assert scenarios.s4_non_lattice().passed
+    assert scenarios.s4_non_lattice(generate).passed
 
 
 def test_s5():
-    cert = scenarios.s5_disconnected_fiber()
+    cert = scenarios.s5_disconnected_fiber(generate)
     assert cert.passed
     assert cert.computed["component_sizes"] == [2, 6]
 
 
 @pytest.mark.parametrize("shape,n", scenarios.DEFAULT_MATRIX)
 def test_s6(shape, n):
-    assert scenarios.s6_lower_interval_mobius(shape, n).passed
+    assert scenarios.s6_lower_interval_mobius(generate, shape, n).passed
 
 
 @pytest.mark.parametrize("shape,n", scenarios.DEFAULT_MATRIX)
 def test_s7(shape, n):
-    assert scenarios.s7_axioms_and_connectivity(shape, n).passed
+    assert scenarios.s7_axioms_and_connectivity(generate, shape, n).passed
 
 
 def test_s8():
-    cert = scenarios.s8_witness_from_mobius()
+    cert = scenarios.s8_witness_from_mobius(generate)
     assert cert.passed
     assert cert.computed["intervals_with_large_mobius"] >= 2
 
 
 def test_s10():
-    cert = scenarios.s10_staircase_sphere()
+    cert = scenarios.s10_staircase_sphere(generate)
     assert cert.passed
     assert cert.computed["2,1|n=3"] == 1
     assert cert.computed["3,2,1|n=4"] == -1
@@ -134,6 +135,22 @@ def test_certificate_digest():
     assert hashlib.sha256(canonical.encode()).hexdigest() == CERTIFY_DIGEST
 
 
+def test_run_all_generates_each_crystal_once_per_run(monkeypatch):
+    calls = []
+
+    def counting(shape, n):
+        calls.append((shape, n))
+        return generate(shape, n)
+
+    monkeypatch.setattr(scenarios, "generate", counting)
+    for _ in range(2):  # the lookup lives for one run, so a second run generates again
+        calls.clear()
+        canonical = scenarios.certificates_to_json(scenarios.run_all(n_max=6))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == CERTIFY_DIGEST
+        assert len(calls) == len(set(calls)) == 7
+    assert all(c.runtime > 0 for c in scenarios.run_all(n_max=3))
+
+
 def test_run_all_filter():
     certs = scenarios.run_all(n_max=4, only="s2")
     assert [c.scenario for c in certs] == ["s2[n=3]", "s2[n=4]"]
@@ -148,7 +165,7 @@ def test_certificate_stream_is_deterministic():
 
 
 def test_crashed_scenario_reports_failure(monkeypatch):
-    def boom():
+    def boom(crystal):
         raise RuntimeError("deliberate")
 
     monkeypatch.setattr(scenarios, "s4_non_lattice", boom)
