@@ -2,6 +2,8 @@
 The key map from a tableau crystal to the symmetric group, computed purely
 from the edge-colored poset structure, plus its consistency checks, fibers,
 fiber extremes at longest parabolic elements, and Demazure subcrystals.
+A fiber's induced order and its extremes are read off one down-set pass
+over the fiber (``poset._down_sets``), with no pairwise order test.
 
 The recursion fills the table rank by rank: the minimum gets the identity,
 atoms get their edge's simple reflection, a vertex covering two or more
@@ -14,11 +16,13 @@ independent of processing order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from . import weyl
 from .crystal import CrystalGraph, weight
-from .poset import interval
+from .poset import _down_sets
 
 Permutation = weyl.Permutation
 
@@ -136,52 +140,42 @@ class Fiber:
     components: tuple[tuple[int, ...], ...]
 
 
-def fiber(graph: CrystalGraph, table: KeyTable, w: Permutation) -> Fiber:
-    """All vertices with key w, their induced order, and its components."""
-    w = weyl.check_permutation(w, graph.n)
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, increasing."""
+    return [k for k, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def _fiber_masks(graph: CrystalGraph, table: KeyTable, w: Permutation):
+    """The vertices with key w and, for each, the mask of those strictly below it."""
     verts = [v for v in range(len(graph)) if table[v] == w]
-    less: list[tuple[int, int]] = []
-    for a, b in combinations(verts, 2):
-        x, y = (a, b) if graph.rank[a] <= graph.rank[b] else (b, a)
-        if interval(graph, x, y) is not None:
-            less.append((x, y))
-    lset = set(less)
-    covers = []
-    for x, y in less:
-        if not any((x, z) in lset and (z, y) in lset for z in verts):
-            color = None
-            if graph.rank[y] == graph.rank[x] + 1:
-                for i, t in graph.fwd[x].items():
-                    if t == y:
-                        color = i
-                        break
-            covers.append((x, y, color))
-    adjacency: dict[int, set[int]] = {v: set() for v in verts}
-    for x, y in less:
-        adjacency[x].add(y)
-        adjacency[y].add(x)
-    seen: set[int] = set()
-    components = []
-    for v in verts:
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        components.append(tuple(sorted(comp)))
-    components.sort()
+    return verts, [m ^ 1 << k for k, m in enumerate(_down_sets(graph, verts))]
+
+
+def fiber(graph: CrystalGraph, table: KeyTable, w: Permutation) -> Fiber:
+    """All vertices with key w, their induced order, and its components,
+    read off their down-set masks: the relations are the bits of each strict
+    mask, the covers those bits minus the union of their masks, and the
+    components the masks merged where they share a bit."""
+    w = weyl.check_permutation(w, graph.n)
+    verts, strict = _fiber_masks(graph, table, w)
+    relations, covers, groups = [], [], []
+    for k, (y, below) in enumerate(zip(verts, strict)):
+        lower = _bits(below)
+        nested = reduce(or_, [strict[a] for a in lower], 0)  # not covers of y
+        for a in lower:
+            x = verts[a]
+            relations.append((x, y))
+            if not nested >> a & 1:
+                covers.append((x, y, next((i for i, t in graph.fwd[x].items() if t == y), None)))
+        group = below | 1 << k  # merged with the disjoint groups it meets
+        meets = [g for g in groups if g & group]
+        groups = [g for g in groups if not g & group] + [reduce(or_, meets, group)]
     return Fiber(
         word=w,
         vertices=tuple(verts),
-        relations=tuple(sorted(less)),
+        relations=tuple(sorted(relations)),
         covers=tuple(sorted(covers)),
-        components=tuple(components),
+        components=tuple(sorted(tuple(verts[a] for a in _bits(g)) for g in groups)),
     )
 
 
@@ -198,13 +192,13 @@ def fiber_extremes(
     graph: CrystalGraph, table: KeyTable, parabolic: frozenset[int] | set[int]
 ) -> tuple[int, int] | None:
     """Unique minimum and maximum of the fiber at the longest element of the
-    parabolic on the given colors; None when that fiber is empty (exactly
-    the case of an index stabilizing the highest weight).
-    """
+    parabolic on the given colors, read off its down-set masks; None when
+    that fiber is empty (exactly the case of an index stabilizing the
+    highest weight)."""
     w = weyl.longest_parabolic(parabolic, graph.n)
-    fib = fiber(graph, table, w)
+    verts, strict = _fiber_masks(graph, table, w)
     avoids_stabilizer = set(parabolic) <= set(graph.colors) - shape_stabilizer(graph)
-    if not fib.vertices:
+    if not verts:
         if avoids_stabilizer:
             raise FiberStructureError(
                 f"empty fiber at {w} despite indices avoiding the stabilizer"
@@ -212,9 +206,9 @@ def fiber_extremes(
         return None
     if not avoids_stabilizer:
         raise FiberStructureError(f"nonempty fiber at {w} despite a stabilizer index")
-    lset = set(fib.relations)
-    minima = [v for v in fib.vertices if not any((x, v) in lset for x in fib.vertices)]
-    maxima = [v for v in fib.vertices if not any((v, x) in lset for x in fib.vertices)]
+    covered = reduce(or_, strict, 0)  # below some fiber vertex
+    minima = [v for v, below in zip(verts, strict) if not below]
+    maxima = [v for k, v in enumerate(verts) if not covered >> k & 1]
     if len(minima) != 1 or len(maxima) != 1:
         raise FiberStructureError(
             f"fiber at {w} has minima {minima} and maxima {maxima}"

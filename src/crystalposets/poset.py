@@ -27,6 +27,9 @@ chain-move components are summarized without listing a chain.  The one
 chain enumerator, :func:`stembridge_components`, is a depth-first search
 that carries each prefix's class beside the path through that table, so
 no chain is walked twice; :func:`saturated_chains` is its chain list.
+
+Dense down-set masks (the Euler check, the key fibers) come from one pass,
+:func:`_down_sets`, and breadth-first up-sets from :func:`_upset`.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .crystal import (
 
 DEFAULT_CHAIN_CAP = 10_000_000
 MOVE_CLASS_CAP = 10_000_000  # class records of one move-class pass
+DOWN_SET_BIT_CAP = 1 << 30  # vertices reached times members in one down-set pass
 EULER_VERTEX_CAP = 1_000  # interval vertices of the dense Euler cross-check
 
 
@@ -233,12 +237,34 @@ def lower_mobius_all(graph: CrystalGraph) -> list[int]:
     return mobius_from(graph, graph.minimum)
 
 
+def _down_sets(graph: CrystalGraph, members: Sequence[int]) -> list[int]:
+    """For each member, the bitmask of the members weakly below it (bit k
+    for ``members[k]``), by one pass up from the members, rank by rank, that
+    stops at the highest member's rank.  More than ``DOWN_SET_BIT_CAP`` bits
+    (vertices reached times members) raise :class:`GraphSizeError`."""
+    mask = {v: 1 << k for k, v in enumerate(members)}
+    top = max((graph.rank[v] for v in mask), default=-1)
+    layers: list[list[int]] = [[] for _ in range(top + 1)]
+    for v in mask:
+        layers[graph.rank[v]].append(v)
+    for layer in layers:
+        if len(mask) * len(members) > DOWN_SET_BIT_CAP:
+            raise GraphSizeError(f"down-set bit cap {DOWN_SET_BIT_CAP} exceeded")
+        for x in layer:
+            for y in graph.fwd[x].values():
+                if graph.rank[y] <= top:
+                    if y not in mask:
+                        layers[graph.rank[y]].append(y)
+                    mask[y] = mask.get(y, 0) | mask[x]
+    return [mask[v] for v in members]
+
+
 def euler_mobius(itv: CrystalGraph) -> int:
     """Reduced Euler characteristic of the order complex of the open
-    interval, by counting chains of every size; an independent cross-check
-    of :func:`interval_mobius`.  Its down-sets are dense, O(V^2) bits, so an
-    interval of more than ``EULER_VERTEX_CAP`` vertices raises
-    :class:`GraphSizeError`.
+    interval, by counting chains of every size over the masks of
+    :func:`_down_sets`; an independent cross-check of :func:`interval_mobius`.
+    The count takes O(V^2 * span) time, so an interval of more than
+    ``EULER_VERTEX_CAP`` vertices raises :class:`GraphSizeError`.
     """
     if itv.span < 1:
         raise ValueError("Euler cross-check needs an interval of rank at least 1")
@@ -247,11 +273,7 @@ def euler_mobius(itv: CrystalGraph) -> int:
             f"Euler cross-check vertex cap {EULER_VERTEX_CAP} exceeded: {len(itv)} vertices"
         )
     inner = [z for z in range(len(itv)) if z not in (itv.minimum, itv.maximum)]
-    down = [0] * len(itv)  # bitmask of {y : y <= z}
-    for z in sorted(range(len(itv)), key=itv.rank.__getitem__):
-        down[z] = 1 << z
-        for y in itv.bwd[z].values():
-            down[z] |= down[y]
+    down = _down_sets(itv, range(len(itv)))  # bitmask of {y : y <= z}
     # chains_by_size[z] = number of chains in the open interval ending at z,
     # indexed by size; build up one extra element at a time
     result = -1
@@ -498,24 +520,25 @@ def stembridge_components(
 
 # -- upper bounds and witnesses ---------------------------------------------
 
+def _upset(graph: CrystalGraph, s: int) -> set[int]:
+    """Every vertex weakly above s, by breadth-first search up the covers."""
+    seen = {s}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for y in graph.fwd[x].values():
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def minimal_upper_bounds(graph: CrystalGraph, a: int, b: int) -> list[int]:
     """All minimal elements among common upper bounds of a and b.
     Minimality needs no search beyond lower covers because common upper
     bounds form an up-set.
     """
-
-    def upset(s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in graph.fwd[x].values():
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    common = upset(a) & upset(b)
+    common = _upset(graph, a) & _upset(graph, b)
     return sorted(
         z for z in common if not any(p in common for p in graph.bwd[z].values())
     )

@@ -26,7 +26,6 @@ import functools
 import json
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
@@ -90,23 +89,6 @@ def _certify(scenario: str, claim: str, provenance: str,
 
 # -- independent brute-force oracles (used to recompute derived targets) ----
 
-def _brute_interval(graph: CrystalGraph, u: int, v: int) -> set[int]:
-    """Unpruned up-set/down-set intersection; the oracle for extraction."""
-
-    def closure(start: int, adjacency) -> set[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adjacency[x].values():
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    return closure(u, graph.fwd) & closure(v, graph.bwd)
-
-
 def _catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
@@ -122,7 +104,7 @@ def s1_base_interval(crystal: CrystalLookup) -> Certificate:
     expected = {
         "mobius": 2,
         "euler": 2,
-        "vertices": len(_brute_interval(graph, u, v)),
+        "vertices": len(poset._upset(graph, u) & poset._upset(graph.reverse(), v)),
         "chain_label_multiset": [1, 2, 2, 3],
     }
     computed = {

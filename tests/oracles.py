@@ -17,7 +17,11 @@ and the raising operator e_i, as the reference for the package's counting
 scan in ``apply_f``; the chain moves are enumerated chain by chain, as the
 reference for the package's rank-order move classes.  Coxeter length, the
 left weak order test, reduced words (with their cap) and the adapted-string
-check of the key table live here too: only tests call them.
+check of the key table live here too: only tests call them.  Key fibers keep
+their pairwise form (one up-set per vertex, a middle-element search per
+relation), as the reference for the package's down-set masks, and the
+Demazure subcrystals are built by the classical f_i-string recursion over
+S_n, which reads no key.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 from crystalposets import poset, weyl
 from crystalposets.crystal import AxiomReport, CrystalGraph, Tableau, apply_word, cartan_entry
-from crystalposets.keymap import KeyReport
+from crystalposets.keymap import Fiber, KeyReport
 from crystalposets.poset import SaturatedChain
 
 
@@ -488,6 +492,82 @@ def adapted_string_check(graph: CrystalGraph, table, b: int) -> bool:
         if cur != graph.minimum:
             return False
     return True
+
+
+def brute_fiber(graph: CrystalGraph, table, w: tuple[int, ...]) -> Fiber:
+    """The key fiber at w by pairwise order tests: one up-set per fiber
+    vertex decides each pair, a relation is a cover when no fiber vertex
+    lies strictly between, and the components come from a search over the
+    comparability graph.  The reference for
+    :func:`crystalposets.keymap.fiber`, which reads all of it off one
+    down-set pass."""
+    verts = [v for v in range(len(graph)) if table[v] == w]
+    ups = {v: brute_upset(graph, v) for v in verts}
+    less = [(x, y) for x in verts for y in verts if x != y and y in ups[x]]
+    lset = set(less)
+    covers = []
+    for x, y in less:
+        if not any((x, z) in lset and (z, y) in lset for z in verts):
+            color = None
+            if graph.rank[y] == graph.rank[x] + 1:
+                for i, t in graph.fwd[x].items():
+                    if t == y:
+                        color = i
+                        break
+            covers.append((x, y, color))
+    adjacency: dict[int, set[int]] = {v: set() for v in verts}
+    for x, y in less:
+        adjacency[x].add(y)
+        adjacency[y].add(x)
+    seen: set[int] = set()
+    components = []
+    for v in verts:
+        if v in seen:
+            continue
+        stack, comp = [v], []
+        seen.add(v)
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in adjacency[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        components.append(tuple(sorted(comp)))
+    return Fiber(
+        word=tuple(w),
+        vertices=tuple(verts),
+        relations=tuple(sorted(less)),
+        covers=tuple(sorted(covers)),
+        components=tuple(sorted(components)),
+    )
+
+
+def demazure_closure(graph: CrystalGraph) -> dict[tuple[int, ...], set[int]]:
+    """The Demazure subcrystal B_w for every w in S_n by the classical
+    recursion (Kashiwara, Duke Math. J. 71 (1993); Littelmann, Ann. Math.
+    142 (1995)): B_id is the minimum, and for s_i w > w, B_{s_i w} is every
+    f_i-string run from B_w.  Breadth-first over S_n by left
+    multiplication, with its own s_i w (swap the values i and i+1) and
+    Coxeter length; no key is read."""
+    ident = tuple(range(1, graph.n + 1))
+    out = {ident: {graph.minimum}}
+    queue = deque([ident])
+    while queue:
+        w = queue.popleft()
+        for i in range(1, graph.n):
+            s = tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
+            if s in out or length(s) < length(w):
+                continue
+            closed: set[int] = set()
+            for b in out[w]:
+                # each closed vertex already has its f_i-string above it
+                while b is not None and b not in closed:
+                    closed.add(b)
+                    b = graph.fwd[b].get(i)
+            out[s] = closed
+            queue.append(s)
+    return out
 
 
 def brute_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:

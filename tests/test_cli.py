@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
-from crystalposets import cli, scenarios
+from crystalposets import cli, poset, scenarios
 from crystalposets.crystal import graph_from_json
 from crystalposets.scenarios import Certificate
 
 # sha256 of the stdout of `generate --shape 6,5 --n 6 --format json`
 EXPORT_DIGEST = "27d5159d28a16c615a6a64d361e52177c3836dfddb1d062e94c56c10d38e5cfc"
+# sha256 of the stdout of `fiber --shape 5,4 --n 6 --w 561234 --format json`:
+# 1,274 vertices, 3,414 covers
+FIBER_DIGEST = "c02358900cf24378be00282fcd2eb3e90d8b745935b5fde580a76216c049e455"
 
 FIG_ARGS = [
     "--shape", "4,3", "--n", "4",
@@ -127,6 +131,23 @@ def test_fiber_json(capsys):
                        "--w", "2413", "--format", "json")
     data = json.loads(out)
     assert sorted(len(c) for c in data["components"]) == [2, 6]
+
+
+def test_largest_fiber_digest_within_budget(capsys):
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "fiber", "--shape", "5,4", "--n", "6",
+                       "--w", "561234", "--format", "json")
+    assert time.perf_counter() - started < 10.0
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIBER_DIGEST
+
+
+def test_down_set_bit_cap_exits_2(capsys, monkeypatch):
+    # the 2413 fiber of B((3,2),4) needs 18 vertices times 8 members
+    monkeypatch.setattr(poset, "DOWN_SET_BIT_CAP", 18 * 8 - 1)
+    code, out, err = run(capsys, "fiber", "--shape", "3,2", "--n", "4", "--w", "2413")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: down-set bit cap 143 exceeded")
 
 
 def test_demazure(capsys):

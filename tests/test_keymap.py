@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from crystalposets import keymap, poset, weyl
-from crystalposets.crystal import generate
+from crystalposets.crystal import GraphSizeError, generate
 from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.keymap import (
     FiberStructureError,
@@ -24,6 +24,17 @@ from crystalposets.keymap import (
 @pytest.fixture(scope="module")
 def keyed(graphs):
     return {key: (g, compute_keys(g)) for key, g in graphs.items()}
+
+
+@pytest.fixture(scope="module")
+def fiber_views(graphs):
+    """The matrix graphs, B((3,2,1),4) and B((3,1),4), each primal and
+    reversed, with their key tables."""
+    views = []
+    for g in (*graphs.values(), generate((3, 2, 1), 4), generate((3, 1), 4)):
+        for h in (g, g.reverse()):
+            views.append((h, compute_keys(h)))
+    return views
 
 
 def test_minimum_and_atoms(keyed):
@@ -156,6 +167,43 @@ def test_fiber_vertices_match_brute_force(keyed):
         assert ((min(a, b), max(a, b)) in {(min(x, y), max(x, y)) for x, y in fib.relations}) == reachable
 
 
+def test_fiber_matches_oracle_on_every_key(fiber_views):
+    count = 0
+    for g, table in fiber_views:
+        for w in sorted(set(table.keys)):
+            assert fiber(g, table, w) == oracles.brute_fiber(g, table, w)
+            count += 1
+    assert count == 144
+
+
+def test_fiber_extremes_match_oracle_for_every_parabolic(fiber_views):
+    for g, table in fiber_views:
+        for r in range(len(g.colors) + 1):
+            for sub in combinations(g.colors, r):
+                w = weyl.longest_parabolic(set(sub), g.n)
+                fib = oracles.brute_fiber(g, table, w)
+                got = fiber_extremes(g, table, frozenset(sub))
+                if not fib.vertices:
+                    assert got is None
+                    continue
+                less = set(fib.relations)
+                minima = [v for v in fib.vertices if not any((x, v) in less for x in fib.vertices)]
+                maxima = [v for v in fib.vertices if not any((v, x) in less for x in fib.vertices)]
+                assert len(minima) == len(maxima) == 1
+                assert got == (minima[0], maxima[0])
+
+
+def test_down_set_bit_cap(monkeypatch, keyed):
+    g, table = keyed[((3, 2), 4)]
+    expected = fiber(g, table, (2, 4, 1, 3))
+    # its pass reaches 18 vertices with 8 fiber members
+    monkeypatch.setattr(poset, "DOWN_SET_BIT_CAP", 18 * 8)
+    assert fiber(g, table, (2, 4, 1, 3)) == expected
+    monkeypatch.setattr(poset, "DOWN_SET_BIT_CAP", 18 * 8 - 1)
+    with pytest.raises(GraphSizeError, match="down-set bit cap 143 exceeded"):
+        fiber(g, table, (2, 4, 1, 3))
+
+
 def test_fibers_at_longest_parabolics_have_extremes(keyed):
     for _, (g, table) in keyed.items():
         free = sorted(set(g.colors) - shape_stabilizer(g))
@@ -202,6 +250,17 @@ def test_demazure(keyed):
         for w in perms:
             if weyl.strong_bruhat_leq(u, w):
                 assert sets[u] <= sets[w]
+
+
+@pytest.mark.parametrize("key", [*DEFAULT_MATRIX, ((3, 1), 5)])
+def test_demazure_matches_closure_oracle(key):
+    g = generate(*key)
+    for h in (g, g.reverse()):
+        table = compute_keys(h)
+        closure = oracles.demazure_closure(h)
+        assert len(closure) == len(oracles.all_permutations(h.n))
+        for w, expected in closure.items():
+            assert demazure(h, table, w) == expected
 
 
 @pytest.mark.parametrize("key", DEFAULT_MATRIX)
