@@ -1,9 +1,10 @@
 """
 Tableau crystals of type A: semistandard Young tableaux, the lowering
-operators f_i by the signature rule, full graph generation (one scan per
-vertex finds every color's lowering cell), string lengths, and verification
-of the local structure axioms, whose squares and hexagons one walk finds
-for the checker, :func:`local_structure` and the chain moves.
+operators f_i by the signature rule (one f_i reads the runs of the letters
+i and i+1 in each row), full graph generation (one column scan per vertex
+finds every color's lowering cell), string lengths, and verification of the
+local structure axioms, whose squares and hexagons one walk finds for the
+checker, :func:`local_structure` and the chain moves.
 
 A tableau is a tuple of rows, each row a tuple of integers in 1..n, weakly
 increasing along rows and strictly increasing down columns.  The crystal
@@ -18,6 +19,7 @@ may be shared freely across threads.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -65,6 +67,7 @@ def check_tableau(rows: Tableau, n: int, shape: Shape | None = None) -> Tableau:
 
 def weight(rows: Tableau, n: int) -> tuple[int, ...]:
     """Content vector (c_1, ..., c_n); c_k = multiplicity of the letter k.
+    An entry outside 1..n raises ValueError.
 
     >>> weight(((1, 1, 2, 3), (3, 4, 4)), 4)
     (2, 1, 2, 2)
@@ -72,6 +75,8 @@ def weight(rows: Tableau, n: int) -> tuple[int, ...]:
     content = [0] * n
     for row in rows:
         for val in row:
+            if not 0 < val <= n:
+                raise ValueError(f"tableau entry {val} outside 1..{n}")
             content[val - 1] += 1
     return tuple(content)
 
@@ -119,24 +124,34 @@ def _reading_order(shape: Shape) -> tuple[Cell, ...]:
 
 
 def _lowering_cell(rows: Tableau, i: int) -> Cell | None:
-    """The cell that f_i raises, by the signature rule: read the cells in
-    column reading order, counting the letters i+1 not yet matched.  A
-    letter i cancels one of them when the count is positive and survives
-    otherwise; f_i raises the last surviving i, and is undefined (None)
-    when no i survives."""
-    shape = tuple(map(len, rows))
+    """The cell that f_i raises, by the signature rule on the row reading
+    (rows bottom to top), which gives the same f_i as the column reading
+    (Kashiwara-Nakashima): a letter i cancels one earlier unmatched i+1 or
+    survives; f_i raises the last surviving i, and is undefined (None)
+    when none survives.  In a semistandard row the i's and (i+1)'s are two
+    adjacent runs, found by bisection, and row r holds no letter below
+    r+1, so one call reads rows 0..i, bottom to top, in O(rows * log)
+    steps: a row's i's first cancel the unmatched (i+1)'s from below, its
+    last i is the candidate if any survive, and then its (i+1)'s join the
+    count.
+    """
     unmatched = 0
     last: Cell | None = None
     up = i + 1
-    for cell in _READING_ORDER.get(shape) or _reading_order(shape):
-        val = rows[cell[0]][cell[1]]
-        if val == up:
-            unmatched += 1
-        elif val == i:
-            if unmatched:
-                unmatched -= 1
-            else:
-                last = cell
+    r = len(rows) - 1
+    if r > i:
+        r = i
+    while r >= 0:  # a while loop: cheaper than min() and range() per call
+        row = rows[r]
+        lo = bisect_left(row, i)
+        mid = bisect_left(row, up, lo)
+        if mid - lo > unmatched:
+            last = (r, mid - 1)
+            unmatched = 0
+        else:
+            unmatched -= mid - lo
+        unmatched += bisect_left(row, up + 1, mid) - mid
+        r -= 1
     return last
 
 
@@ -161,8 +176,9 @@ def _lowering_cells(rows: Tableau, n: int) -> dict[int, Cell]:
 
 
 def apply_f(rows: Tableau, i: int) -> Tableau | None:
-    """Lowering operator: raise the cell :func:`_lowering_cell` finds in
-    one scan of the shape's cached reading order from i to i+1.
+    """Lowering operator: raise the cell :func:`_lowering_cell` finds from
+    i to i+1.  The rows must be semistandard, as the row runs are read off
+    sorted rows by bisection.
 
     >>> apply_f(((1, 2, 2, 2, 2, 3), (3, 3, 4)), 2)
     ((1, 2, 2, 2, 3, 3), (3, 3, 4))

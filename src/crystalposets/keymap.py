@@ -15,7 +15,7 @@ independent of processing order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -29,10 +29,18 @@ Permutation = weyl.Permutation
 
 @dataclass
 class KeyTable:
-    """Per-vertex key permutations for one fixed graph."""
+    """Per-vertex key permutations for one fixed graph, and the derived
+    ``fibers``: each key's vertices, increasing."""
 
     n: int
     keys: tuple[Permutation, ...]
+    fibers: dict[Permutation, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fibers: dict[Permutation, list[int]] = {}
+        for v, k in enumerate(self.keys):
+            fibers.setdefault(k, []).append(v)
+        self.fibers = {k: tuple(vs) for k, vs in fibers.items()}
 
     def __getitem__(self, v: int) -> Permutation:
         return self.keys[v]
@@ -147,7 +155,7 @@ def _bits(mask: int) -> list[int]:
 
 def _fiber_masks(graph: CrystalGraph, table: KeyTable, w: Permutation):
     """The vertices with key w and, for each, the mask of those strictly below it."""
-    verts = [v for v in range(len(graph)) if table[v] == w]
+    verts = table.fibers.get(w, ())
     return verts, [m ^ 1 << k for k, m in enumerate(_down_sets(graph, verts))]
 
 
@@ -217,11 +225,12 @@ def fiber_extremes(
 
 
 def demazure(graph: CrystalGraph, table: KeyTable, w: Permutation) -> frozenset[int]:
-    """Vertices whose key is below w in strong Bruhat order, with one order
-    test per distinct key."""
+    """Vertices whose key is below w in strong Bruhat order: the union of
+    the fibers of those keys, with one order test per distinct key."""
     w = weyl.check_permutation(w, graph.n)
-    below = {k: weyl.strong_bruhat_leq(k, w) for k in set(table.keys)}
-    return frozenset(v for v, k in enumerate(table.keys) if below[k])
+    return frozenset().union(
+        *(verts for k, verts in table.fibers.items() if weyl.strong_bruhat_leq(k, w))
+    )
 
 
 def minimal_fiber_elements(graph: CrystalGraph, table: KeyTable) -> dict[frozenset[int], int]:

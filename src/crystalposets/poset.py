@@ -6,9 +6,10 @@ cross-checks, and (non-)lattice witnesses.
 
 Intervals are extracted by one budgeted upward search: the number of
 color-i covers on any chain from u to v is forced by the weight difference,
-so the search from u never leaves the per-color budget.  It records each
-cover it takes, and the interval is what v reaches back down those covers,
-so no e_i is ever applied.  An interval is itself a :class:`CrystalGraph`
+so the search from u never leaves the per-color budget.  It numbers the
+tableaux it finds with integer ids and records each cover it takes, and
+the interval is what v reaches back down those covers, so no e_i is ever
+applied.  An interval is itself a :class:`CrystalGraph`
 (local indices, restricted covers, its bottom and top as minimum and
 maximum), which lets the same machinery run on intervals of crystals far
 too large to generate.
@@ -18,9 +19,11 @@ of enumerating: :func:`mobius_from` (mu from one source to every vertex)
 and :func:`move_classes_from` (the number of chain-move classes of every
 interval [source, z]).  The move-class pass splits the chains ending at z by
 their last cover a -> z, carries each class at a along that cover, and
-merges the carried classes with union-find along the square below z of
-each pair of its lower-cover colors, or along the hexagon where the square
-does not close, found by the closure walk the axiom checker uses too.
+merges the carried classes along the square below z of each pair of its
+lower-cover colors, or along the hexagon where the square does not close,
+found by the closure walk the axiom checker uses too.  Where each lower
+cover carries one class, as everywhere in a lower interval, it unions the
+covers themselves; elsewhere it runs union-find over per-class records.
 :func:`move_class_summary` makes one more rank-order pass over that table
 to get each class's chain count and least label sequence, so the
 chain-move components are summarized without listing a chain.  The one
@@ -88,60 +91,76 @@ def _extract(
 
     ``step(x, i)`` is the color-i cover of x or None, and ``payload_of(x)``
     the tableau of x (None when the keys are the tableaux).  The search
-    records every cover it takes, keyed by its upper end; [u, v] is the
-    closure of v under those recorded covers, and its covers are the
-    recorded ones whose upper end it holds.  Local indices go by (rank,
-    tableau), so extraction is deterministic.
+    turns each key it finds into an integer id with one dict lookup, and
+    keeps the remaining budget, rank and lower covers of every id in lists,
+    trying only the colors with a nonzero budget.  It records every cover
+    it takes, keyed by its upper end; [u, v] is the closure of v under
+    those recorded covers, and its covers are the recorded ones whose upper
+    end it holds.  Local indices go by (rank, tableau), so extraction is
+    deterministic.
     """
-    zero = {i: 0 for i in budget}
-    usage: dict[Hashable, dict[int, int]] = {u_key: zero}
-    below: dict[Hashable, list[tuple[int, Hashable]]] = {u_key: []}  # y -> [(i, x)]
-    queue = deque([u_key])
-    while queue:
-        x = queue.popleft()
-        used = usage[x]
-        for i, cap in budget.items():
-            if used[i] >= cap or (y := step(x, i)) is None:
+    colors = [i for i, cap in budget.items() if cap]
+    keys = [u_key]
+    ids = {u_key: 0}
+    left = [[budget[i] for i in colors]]  # per id, the budget not yet used
+    rank = [0]
+    below: list[list[tuple[int, int]]] = [[]]  # per id, its covers (i, x) by id
+    x = 0
+    while x < len(keys):
+        key, rest = keys[x], left[x]
+        for k, i in enumerate(colors):
+            if not rest[k] or (y := step(key, i)) is None:
                 continue
-            if y not in usage:
-                if len(usage) >= DEFAULT_VERTEX_CAP:
+            b = ids.get(y)
+            if b is None:
+                b = len(keys)
+                if b >= DEFAULT_VERTEX_CAP:
                     raise GraphSizeError(f"interval vertex cap {DEFAULT_VERTEX_CAP} exceeded")
-                nxt = dict(used)
-                nxt[i] += 1
-                usage[y] = nxt
-                below[y] = []
-                queue.append(y)
-            below[y].append((i, x))
-    if v_key not in usage or usage[v_key] != budget:
+                ids[y] = b
+                keys.append(y)
+                nxt = rest.copy()
+                nxt[k] -= 1
+                left.append(nxt)
+                rank.append(rank[x] + 1)
+                below.append([])
+            below[b].append((i, x))
+        x += 1
+    top = ids.get(v_key)
+    if top is None or any(left[top]):
         return None
-    keys = {v_key}
-    stack = [v_key]
+    kept = [False] * len(keys)
+    kept[top] = True
+    stack = [top]
     while stack:
         for _, x in below[stack.pop()]:
-            if x not in keys:
-                keys.add(x)
+            if not kept[x]:
+                kept[x] = True
                 stack.append(x)
-    rank_of = {x: sum(usage[x].values()) for x in keys}
-    tableau = payload_of or (lambda x: x)
-    ordered = sorted(keys, key=lambda x: (rank_of[x], tableau(x)))
-    local = {x: k for k, x in enumerate(ordered)}
+    tableaux = keys if payload_of is None else list(map(payload_of, keys))
+    ordered = sorted(
+        (x for x in range(len(keys)) if kept[x]), key=lambda x: (rank[x], tableaux[x])
+    )
+    local = [0] * len(keys)
+    for k, x in enumerate(ordered):
+        local[x] = k
     fwd: list[dict[int, int]] = [{} for _ in ordered]
     bwd: list[dict[int, int]] = [{} for _ in ordered]
-    for a, b, i in sorted((local[x], local[y], i) for y in ordered for i, x in below[y]):
-        fwd[a][i] = b
-        bwd[b][i] = a
+    for b, y in enumerate(ordered):
+        covers = [(local[x], i) for i, x in below[y]]
+        covers.sort()
+        for a, i in covers:
+            fwd[a][i] = b
+            bwd[b][i] = a
     return CrystalGraph(
         shape=None,
         n=len(budget) + 1,
-        vertices=tuple(map(tableau, ordered)),
+        vertices=tuple(tableaux[x] for x in ordered),
         fwd=tuple(fwd),
         bwd=tuple(bwd),
-        rank=tuple(rank_of[x] for x in ordered),
-        minimum=local[u_key],
-        maximum=local[v_key],
+        rank=tuple(rank[x] for x in ordered),
+        minimum=local[0],
+        maximum=local[top],
         budget=budget,
-        # keys that are the tableaux make ``local`` the index
-        index={} if payload_of else local,
     )
 
 
@@ -175,7 +194,9 @@ def free_interval(u: Tableau, v: Tableau, n: int) -> CrystalGraph | None:
     materializing the ambient crystal; this is what makes intervals of huge
     crystals tractable.  Every weight and budget has n entries, scanned at
     each searched vertex, so an n outside 1..``DEFAULT_VERTEX_CAP`` raises
-    ValueError before any is built.
+    ValueError before any is built.  u and v must be semistandard tableaux
+    with entries in 1..n (an entry outside raises ValueError), as
+    :func:`crystal.apply_f` reads the letter runs of sorted rows.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> len(itv), itv.span, interval_mobius(itv)
@@ -336,6 +357,13 @@ def _move_classes(
     x, both sides of that pair's hexagon (if any) pass through x and then
     close a square below x, which the pass merged when it handled x, so the
     hexagon would merge nothing new; this holds on any imported graph.
+
+    When every lower cover of z carries exactly one class (always so in a
+    lower interval, by the paper's theorem, and the common case in random
+    intervals), z needs no record lists: the pass unions the two covers of
+    each closure whose bottom has chains, stops once one group is left, and
+    numbers the groups in cover order, as union-find would.  Other vertices
+    merge record lists with union-find.
     """
     bwd = graph.bwd
     count = [0] * len(graph)
@@ -360,6 +388,23 @@ def _move_classes(
         if len(offset) == 1:  # no square or hexagon tops z
             carry[z] = {a: list(range(total)) for a in offset}
             count[z] = total
+            continue
+        if total == len(offset):  # one class at each lower cover
+            group = list(range(total))  # cover position -> its group
+            groups = total
+            for i, j in combinations(bwd[z], 2):
+                # the square if it closes, else the hexagon (see above)
+                sides = _closure(bwd, z, i, j, 2) or _closure(bwd, z, i, j, 4)
+                if sides is not None and count[sides[0][-1]]:
+                    g1, g2 = group[offset[sides[0][1]]], group[offset[sides[1][1]]]
+                    if g1 != g2:
+                        group = [g1 if g == g2 else g for g in group]
+                        groups -= 1
+                        if groups == 1:
+                            break  # no later pair can merge more
+            label = {}  # group -> class id at z, numbered in cover order
+            carry[z] = {a: [label.setdefault(group[k], len(label))] for a, k in offset.items()}
+            count[z] = groups
             continue
         parent = list(range(total))
 

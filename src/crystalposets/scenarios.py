@@ -15,8 +15,10 @@ of the canonical JSON so that two runs agree byte for byte.
 
 :func:`run_all` is the driver.  The scenarios that read a generated crystal
 take a lookup ``crystal(shape, n)`` as their first argument, and one run
-passes them all one cached lookup, so it generates each crystal once.  The
-driver also times each scenario call and records it as the certificate's
+passes them all one cached lookup, so it generates each crystal once; s3
+and s8 likewise share one cached ``interval(u, v, n)`` lookup, so the
+composite and base intervals are extracted once per run.  The driver also
+times each scenario call and records it as the certificate's
 ``runtime``.
 """
 
@@ -57,6 +59,9 @@ BASE_TOP = ((1, 1, 2, 3), (3, 4, 4))
 # crystal(shape, n): the crystal graph B(shape, n); run_all passes one
 # cached lookup to every scenario that reads a generated crystal
 CrystalLookup = Callable[[tuple[int, ...], int], CrystalGraph]
+# interval(u, v, n): poset.free_interval(u, v, n); run_all passes one cached
+# lookup to the scenarios that share intervals (s3 and s8)
+IntervalLookup = Callable[[Tableau, Tableau, int], CrystalGraph | None]
 
 
 @dataclass
@@ -223,12 +228,12 @@ def _split_composite(rows: Tableau, r: int) -> tuple[Tableau, ...]:
     return tuple(parts)
 
 
-def s3_product_mobius(r: int = 2) -> Certificate:
+def s3_product_mobius(interval: IntervalLookup, r: int = 2) -> Certificate:
     """Mobius value 2^r on the composite interval, which is verified to be
     isomorphic to the r-fold product of the base interval."""
-    base = poset.free_interval(BASE_BOTTOM, BASE_TOP, 4)
+    base = interval(BASE_BOTTOM, BASE_TOP, 4)
     bottom, top, n = _composite_endpoints(r)
-    itv = poset.free_interval(bottom, top, n)
+    itv = interval(bottom, top, n)
 
     base_vertices = set(base.vertices)
     base_edges = {
@@ -421,7 +426,7 @@ def s7_axioms_and_connectivity(
     )
 
 
-def s8_witness_from_mobius(crystal: CrystalLookup) -> Certificate:
+def s8_witness_from_mobius(crystal: CrystalLookup, interval: IntervalLookup) -> Certificate:
     """Wherever |mu| >= 2 in the test matrix there is a covering pair with
     no least upper bound inside the interval; and every degree-2/degree-4
     local upper bound is a minimal upper bound."""
@@ -437,7 +442,7 @@ def s8_witness_from_mobius(crystal: CrystalLookup) -> Certificate:
                     if poset.non_stembridge_witness(itv) is not None:
                         witnesses += 1
 
-    composite = poset.free_interval(*_composite_endpoints(2)[:2], 8)
+    composite = interval(*_composite_endpoints(2)[:2], 8)
     composite_witness = poset.non_stembridge_witness(composite) is not None
     big_intervals += 1
     witnesses += 1 if composite_witness else 0
@@ -460,7 +465,7 @@ def s8_witness_from_mobius(crystal: CrystalLookup) -> Certificate:
         "intervals_with_large_mobius": big_intervals,
         "witnesses_found": witnesses,
         "witness_in_base_interval": poset.non_stembridge_witness(
-            poset.free_interval(BASE_BOTTOM, BASE_TOP, 4)
+            interval(BASE_BOTTOM, BASE_TOP, 4)
         )
         is not None,
         "local_upper_bounds_minimal": local_bounds_minimal,
@@ -510,15 +515,17 @@ def _shape_tag(shape: tuple[int, ...], n: int) -> str:
 
 # -- driver -------------------------------------------------------------------
 
-def _scenario_thunks(n_max: int, crystal: CrystalLookup) -> list[tuple[str, Callable, tuple]]:
+def _scenario_thunks(
+    n_max: int, crystal: CrystalLookup, interval: IntervalLookup
+) -> list[tuple[str, Callable, tuple]]:
     """(scenario id, function, arguments) for every scenario of a run."""
     thunks: list[tuple[str, Callable, tuple]] = [
         ("s1", s1_base_interval, (crystal,)),
         ("s4", s4_non_lattice, (crystal,)),
         ("s5", s5_disconnected_fiber, (crystal,)),
-        ("s8", s8_witness_from_mobius, (crystal,)),
+        ("s8", s8_witness_from_mobius, (crystal, interval)),
         ("s10", s10_staircase_sphere, (crystal,)),
-        ("s3", s3_product_mobius, ()),
+        ("s3", s3_product_mobius, (interval,)),
     ]
     for n in range(TWO_ROW_N[0], n_max + 1):
         thunks.append(("s2", s2_disconnected_chains, (n,)))
@@ -537,11 +544,15 @@ def run_all(n_max: int = 5, only: str | None = None) -> list[Certificate]:
     """Run the certificate suite; ``only`` filters by scenario id (e.g. "s2").
     ``n_max`` is the largest two-row parameter of s2, in :data:`TWO_ROW_N`.
 
-    The scenarios share one crystal lookup, so each crystal is generated at
-    most once per run and dropped when the run ends; each certificate's
-    ``runtime`` is the time of its scenario call, generation included."""
+    The scenarios share one crystal lookup and one interval lookup, so each
+    crystal is generated and each shared interval extracted at most once
+    per run, and both are dropped when the run ends; each certificate's
+    ``runtime`` is the time of its scenario call, generation and extraction
+    included."""
     _check_two_row(n_max)
-    thunks = _scenario_thunks(n_max, functools.cache(generate))
+    thunks = _scenario_thunks(
+        n_max, functools.cache(generate), functools.cache(poset.free_interval)
+    )
     if only is not None:
         thunks = [thunk for thunk in thunks if thunk[0] == only]
         if not thunks:

@@ -52,7 +52,7 @@ def test_criterion_2_catalan_components():
 
 def test_criterion_3_product_interval():
     start = time.perf_counter()
-    cert = scenarios.s3_product_mobius(2)
+    cert = scenarios.s3_product_mobius(poset.free_interval, 2)
     ok = (
         cert.passed
         and cert.computed["mobius"] == 4
@@ -122,7 +122,7 @@ def test_criterion_7_axioms_and_connectivity():
 
 def test_criterion_8_witnesses():
     start = time.perf_counter()
-    cert = scenarios.s8_witness_from_mobius(generate)
+    cert = scenarios.s8_witness_from_mobius(generate, poset.free_interval)
     ok = cert.passed
     ok &= scenarios.s4_non_lattice(generate).passed
     elapsed = time.perf_counter() - start

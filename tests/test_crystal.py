@@ -165,6 +165,14 @@ def test_weight_examples():
     assert weight(((1, 1, 2, 3), (3, 4, 4)), 4) == (2, 1, 2, 2)
 
 
+def test_weight_rejects_entries_outside_the_range():
+    # a letter 0 would otherwise count as the letter n, and n+1 run off the end
+    for rows in (((0, 1),), ((1, 2), (4,)), ((-2,),)):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            weight(rows, 3)
+    assert weight(((1, 3),), 3) == (1, 0, 1)
+
+
 def test_weight_drops_by_simple_root(g43):
     for a, b, i in g43.edges:
         wa, wb = weight(g43.vertices[a], g43.n), weight(g43.vertices[b], g43.n)

@@ -1,7 +1,10 @@
 """Interval extraction, Mobius values, chains, moves, and witnesses."""
 
+import hashlib
+import json
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +18,7 @@ from crystalposets.crystal import (
     graph_to_json,
     highest,
     weight,
+    _closure,
 )
 from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.poset import (
@@ -23,6 +27,7 @@ from crystalposets.poset import (
     free_interval,
     interval,
     interval_mobius,
+    interval_to_json,
     minimal_upper_bounds,
     mobius_from,
     move_class_summary,
@@ -158,6 +163,13 @@ def test_free_interval_rejects_n_outside_the_vertex_cap():
         with pytest.raises(ValueError, match="n must lie in"):
             free_interval(((1,),), ((2,),), n)
     assert len(free_interval(((1,),), ((2,),), 2)) == 2
+
+
+def test_free_interval_rejects_entries_outside_1_to_n():
+    # the letter 0 once weighed as the letter n through negative indexing
+    for u, v in ((((0, 1),), ((1, 2),)), (((1, 2),), ((1, 4),))):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            free_interval(u, v, 3)
 
 
 # -- Mobius -------------------------------------------------------------------
@@ -432,6 +444,100 @@ def test_chain_layer_matches_brute_force_on_free_intervals():
             saturated_chains(itv, cap=len(chains) - 1)
         multi += len(components) >= 2
     assert multi == 4
+
+
+CORPUS_CASES = FREE_CASES + (((6, 5), 7), ((3, 3, 2), 7), ((7, 6), 8), ((4, 3, 2, 1), 8))
+
+
+def _query_corpus(count):
+    """sha256 over ``count`` seeded queries of the library path: each
+    interval's export and its lower covers in stored order, mu, the chains
+    and the components; plus the total chain count and the number of
+    queries with two or more components.  u is a walk of 0..20 covers
+    above the highest tableau and v 2..8 more above u."""
+    rng = random.Random(3)
+    digest = hashlib.sha256()
+    chains_total = multi = 0
+    for q in range(count):
+        shape, n = CORPUS_CASES[q % len(CORPUS_CASES)]
+        u = _random_f_walk(rng, highest(shape, n), n, rng.randint(0, 20))
+        itv = free_interval(u, _random_f_walk(rng, u, n, rng.randint(2, 8)), n)
+        mu = interval_mobius(itv)
+        chains, components = stembridge_components(itv)
+        record = [
+            interval_to_json(itv), [list(covers.items()) for covers in itv.bwd], mu,
+            [[c.vertices, c.labels] for c in chains], components,
+        ]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+        chains_total += len(chains)
+        multi += len(components) >= 2
+    return digest.hexdigest(), chains_total, multi
+
+
+# recorded from the library before extraction moved to integer ids, f_i to
+# row runs and the move-class pass to its one-class path
+CORPUS_DIGEST = "0ea8515bffeda2dd04e83afbad29a587577786a760254b114b27a1bdfaac4f0a"
+
+
+def test_recorded_query_corpus():
+    # 400 queries: 28,414 chains, 8 queries with two or more components
+    assert _query_corpus(400) == (CORPUS_DIGEST, 28414, 8)
+
+
+def _union_find_vertices(graph, count):
+    """The vertices whose classes the union-find branch of the move-class
+    pass merges: two or more lower covers with chains, one of them carrying
+    two or more classes."""
+    return [
+        z for z in range(len(graph))
+        if sum(count[a] > 0 for a in graph.bwd[z].values()) >= 2
+        and any(count[a] >= 2 for a in graph.bwd[z].values())
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_union_find_branch_matches_brute_force(n):
+    # the two-row intervals for n >= 4 have such vertices (for n = 3, the
+    # base interval, every lower cover of every vertex has one class)
+    itv = free_interval(*scenarios._two_row_endpoints(n), n + 1)
+    count = move_classes_from(itv, itv.minimum)
+    multi = _union_find_vertices(itv, count)
+    assert multi
+    for z in multi:
+        below = interval(itv, itv.minimum, z)
+        assert count[z] == len(oracles.brute_move_components(below)[1])
+
+
+def test_class_ids_number_in_cover_order(g32):
+    # at every vertex both branches of the move-class pass number the
+    # classes by first appearance along the lower covers in stored order
+    cases = [(g32, u) for u in range(len(g32))]
+    for n in (3, 4, 5):
+        itv = free_interval(*scenarios._two_row_endpoints(n), n + 1)
+        cases.append((itv, itv.minimum))
+    for graph, source in cases:
+        count, carry = poset._move_classes(graph, source)
+        for z in range(len(graph)):
+            ids = [c for a in graph.bwd[z].values() for c in carry[z].get(a, ())]
+            assert list(dict.fromkeys(ids)) == list(range(count[z] if z != source else 0))
+
+
+def test_union_find_branch_merges_along_hexagons(g32):
+    # in the two-row intervals, dropping that branch's hexagon merges
+    # changes no count; in B((3,2),4) some union-find vertices have a pair
+    # of lower covers that closes only as a hexagon, and dropping them does
+    hexagons = 0
+    for u in range(len(g32)):
+        count = move_classes_from(g32, u)
+        for z in _union_find_vertices(g32, count):
+            assert count[z] == len(oracles.brute_move_components(interval(g32, u, z))[1])
+            hexagons += any(
+                _closure(g32.bwd, z, i, j, 2) is None
+                and (hexagon := _closure(g32.bwd, z, i, j, 4)) is not None
+                and count[hexagon[0][4]] > 0
+                for i, j in combinations(g32.bwd[z], 2)
+            )
+    assert hexagons
 
 
 def _imported_mutants(g, seed, count):

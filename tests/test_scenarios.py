@@ -67,7 +67,7 @@ def test_s2_lists_no_chain(monkeypatch):
 
 
 def test_s3():
-    cert = scenarios.s3_product_mobius(2)
+    cert = scenarios.s3_product_mobius(poset.free_interval, 2)
     assert cert.passed
     assert cert.computed["mobius"] == 4
     assert cert.computed["vertices"] == 144
@@ -75,7 +75,7 @@ def test_s3():
 
 
 def test_s3_degenerates_to_base_interval():
-    cert = scenarios.s3_product_mobius(1)
+    cert = scenarios.s3_product_mobius(poset.free_interval, 1)
     assert cert.passed
     assert cert.computed["mobius"] == 2
     assert cert.computed["vertices"] == 12
@@ -102,7 +102,7 @@ def test_s7(shape, n):
 
 
 def test_s8():
-    cert = scenarios.s8_witness_from_mobius(generate)
+    cert = scenarios.s8_witness_from_mobius(generate, poset.free_interval)
     assert cert.passed
     assert cert.computed["intervals_with_large_mobius"] >= 2
 
@@ -149,6 +149,29 @@ def test_run_all_generates_each_crystal_once_per_run(monkeypatch):
         assert hashlib.sha256(canonical.encode()).hexdigest() == CERTIFY_DIGEST
         assert len(calls) == len(set(calls)) == 7
     assert all(c.runtime > 0 for c in scenarios.run_all(n_max=3))
+
+
+def test_run_all_extracts_each_interval_once_per_run(monkeypatch):
+    # s3 and s8 share the composite and base intervals through one lookup;
+    # s2 extracts its four two-row intervals itself, and the first of them,
+    # s2[n=3], is the base interval again
+    calls = []
+    extract = poset.free_interval
+
+    def counting(u, v, n):
+        calls.append((u, v, n))
+        return extract(u, v, n)
+
+    monkeypatch.setattr(poset, "free_interval", counting)
+    canonical = scenarios.certificates_to_json(scenarios.run_all(n_max=6))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == CERTIFY_DIGEST
+    composite = scenarios._composite_endpoints(2)
+    base = (scenarios.BASE_BOTTOM, scenarios.BASE_TOP, 4)
+    assert base == (*scenarios._two_row_endpoints(3), 4)
+    assert len(calls) == 6 and calls.count(composite) == 1 and calls.count(base) == 2
+    calls.clear()
+    scenarios.run_all(n_max=3, only="s8")  # a second run extracts again
+    assert sorted(calls) == sorted([composite, base])
 
 
 def test_run_all_filter():
