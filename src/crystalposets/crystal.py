@@ -1,10 +1,11 @@
 """
 Tableau crystals of type A: semistandard Young tableaux, the lowering
 operators f_i by the signature rule (one f_i reads the runs of the letters
-i and i+1 in each row), full graph generation (one column scan per vertex
-finds every color's lowering cell), string lengths, and verification of the
-local structure axioms, whose squares and hexagons one walk finds for the
-checker, :func:`local_structure` and the chain moves.
+i and i+1 in each row; :func:`_lowering_cell` is the one coding, which
+:func:`apply_f`, :func:`generate` and interval extraction all read), full
+graph generation, string lengths, and verification of the local structure
+axioms, whose squares and hexagons one walk finds for the checker,
+:func:`local_structure` and the chain moves.
 
 A tableau is a tuple of rows, each row a tuple of integers in 1..n, weakly
 increasing along rows and strictly increasing down columns.  The crystal
@@ -106,34 +107,17 @@ def _replace(rows: Tableau, cell: Cell, val: int) -> Tableau:
     return rows[:r] + (row,) + rows[r + 1 :]
 
 
-# shape -> its cells in column reading order, filled by _reading_order; the
-# entries never change once written, so every caller may share them
-_READING_ORDER: dict[Shape, tuple[Cell, ...]] = {}
-
-
-def _reading_order(shape: Shape) -> tuple[Cell, ...]:
-    """The cells of ``shape`` in column reading order, columns left to
-    right and each bottom to top; cached in ``_READING_ORDER``."""
-    cells = tuple(
-        (r, c)
-        for c in range(shape[0] if shape else 0)
-        for r in reversed(range(sum(1 for part in shape if part > c)))
-    )
-    _READING_ORDER[shape] = cells
-    return cells
-
-
 def _lowering_cell(rows: Tableau, i: int) -> Cell | None:
-    """The cell that f_i raises, by the signature rule on the row reading
-    (rows bottom to top), which gives the same f_i as the column reading
-    (Kashiwara-Nakashima): a letter i cancels one earlier unmatched i+1 or
-    survives; f_i raises the last surviving i, and is undefined (None)
-    when none survives.  In a semistandard row the i's and (i+1)'s are two
-    adjacent runs, found by bisection, and row r holds no letter below
-    r+1, so one call reads rows 0..i, bottom to top, in O(rows * log)
-    steps: a row's i's first cancel the unmatched (i+1)'s from below, its
-    last i is the candidate if any survive, and then its (i+1)'s join the
-    count.
+    """The cell that f_i raises: the package's one signature rule, on the
+    row reading (rows bottom to top), which gives the same f_i as the
+    column reading (Kashiwara-Nakashima) that the test oracles keep.  A
+    letter i cancels one earlier unmatched i+1 or survives; f_i raises the
+    last surviving i, and is undefined (None) when none survives.  In a
+    semistandard row the i's and (i+1)'s are two adjacent runs, found by
+    bisection, and row r holds no letter below r+1, so one call reads rows
+    0..i, bottom to top, in O(rows * log) steps: a row's i's first cancel
+    the unmatched (i+1)'s from below, its last i is the candidate if any
+    survive, and then its (i+1)'s join the count.
     """
     unmatched = 0
     last: Cell | None = None
@@ -153,26 +137,6 @@ def _lowering_cell(rows: Tableau, i: int) -> Cell | None:
         unmatched += bisect_left(row, up + 1, mid) - mid
         r -= 1
     return last
-
-
-def _lowering_cells(rows: Tableau, n: int) -> dict[int, Cell]:
-    """:func:`_lowering_cell` for every color 1..n-1 that has one, from one
-    scan: a letter k is an "i+1" for color k-1 and an "i" for color k.
-
-    The counts and cells are keyed by the letters present, so the scan
-    costs O(|shape|) whatever n is.
-    """
-    shape = tuple(map(len, rows))
-    unmatched: dict[int, int] = {}  # color i -> letters i+1 not yet matched
-    cells: dict[int, Cell] = {}
-    for cell in _READING_ORDER.get(shape) or _reading_order(shape):
-        val = rows[cell[0]][cell[1]]
-        if unmatched.get(val):
-            unmatched[val] -= 1
-        elif val < n:
-            cells[val] = cell
-        unmatched[val - 1] = unmatched.get(val - 1, 0) + 1
-    return cells
 
 
 def apply_f(rows: Tableau, i: int) -> Tableau | None:
@@ -269,13 +233,14 @@ class CrystalGraph:
 def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> CrystalGraph:
     """Breadth-first closure of the superstandard tableau under all f_i.
 
-    One scan per vertex finds the cell every f_i raises from i to i+1
-    (:func:`_lowering_cells`), and raising it can break semistandardness
-    only at that cell: its right neighbour must stay >= i+1 and the cell
-    below it > i+1.  A failed check raises RuntimeError.  More than
-    ``max_vertices`` vertices raise :class:`GraphSizeError`, at once if n
-    is above it and shape has fewer than n rows, as B(shape, n) then has at
-    least n vertices.
+    Each vertex asks :func:`_lowering_cell` for the cell that f_i raises
+    from i to i+1, once for each letter i < n it holds, in increasing
+    order (f_i of a tableau without an i is undefined).  Raising the cell
+    can break semistandardness only there: its right neighbour must stay
+    >= i+1 and the cell below it > i+1.  A failed check raises
+    RuntimeError.  More than ``max_vertices`` vertices raise
+    :class:`GraphSizeError`, at once if n is above it and shape has fewer
+    than n rows, as B(shape, n) then has at least n vertices.
 
     >>> len(generate((2, 1), 3))
     8
@@ -294,9 +259,13 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
         v = head
         head += 1
         rows = vertices[v]
-        cells = _lowering_cells(rows, n)
-        for i in sorted(cells):
-            r, c = cell = cells[i]
+        for i in sorted(set().union(*rows)):
+            if i >= n:
+                break
+            cell = _lowering_cell(rows, i)
+            if cell is None:
+                continue
+            r, c = cell
             row, below = rows[r], rows[r + 1] if r + 1 < len(rows) else ()
             if (c + 1 < len(row) and row[c + 1] <= i) or (c < len(below) and below[c] <= i + 1):
                 raise RuntimeError(f"operator f_{i} broke semistandardness at {rows}")

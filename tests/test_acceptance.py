@@ -40,7 +40,7 @@ def test_criterion_2_catalan_components():
     start = time.perf_counter()
     ok = True
     for n, count in ((3, 1), (4, 2), (5, 5)):
-        cert = scenarios.s2_disconnected_chains(n)
+        cert = scenarios.s2_disconnected_chains(poset.free_interval, n)
         ok &= cert.passed
         ok &= cert.computed["increasing_component_chains"] == count
         ok &= cert.computed["components_at_least_2"]

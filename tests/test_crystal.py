@@ -59,9 +59,9 @@ def test_apply_f_bottom_edge():
 
 
 def test_apply_f_matches_stack_signature(graphs):
-    # the counting scan against the symbol-stack bracket, on every
-    # (tableau, color) of the matrix graphs and of shapes with three or
-    # more row lengths, where the scan's column height changes
+    # the row runs against the symbol-stack bracket on the column reading,
+    # on every (tableau, color) of the matrix graphs and of shapes with
+    # three or more row lengths
     cases = [(g.vertices, g.n) for g in graphs.values()]
     for shape, n in (((3, 2, 1), 5), ((3, 3, 1), 5), ((2, 1, 1, 1), 5)):
         cases.append((oracles.enumerate_ssyt(shape, n), n))
@@ -101,43 +101,32 @@ def test_apply_f_matches_stack_signature_on_random_tableaux():
             assert apply_f(rows, i) == oracles.apply_f(rows, i)
 
 
-def test_lowering_cells_match_one_color_scans(graphs):
-    # the all-colors scan against one scan per color, at every vertex of the
-    # matrix graphs and on the seeded random tableaux above
-    cases = [(rows, g.n) for g in graphs.values() for rows in g.vertices]
-    for seed in range(2000):
-        rng = random.Random(seed)
-        n = rng.randint(1, 5)
-        cases.append((_random_tableau(rng, n), n))
-    for rows, n in cases:
-        expected = {i: cell for i in range(1, n) if (cell := crystal._lowering_cell(rows, i))}
-        assert crystal._lowering_cells(rows, n) == expected
-
-
 def test_generate_scans_each_vertex_once(monkeypatch):
-    # B((1,), n) has n vertices of one letter each: one scan per vertex,
-    # none per color, so n = 5000 stays linear
+    # B((1,), n) has n vertices of one letter each: one signature read per
+    # vertex whose letter is below n, none per absent color, so n = 5000
+    # stays linear
     calls = []
-    scan = crystal._lowering_cells
+    cell = crystal._lowering_cell
 
-    def counted(rows, n):
-        calls.append(rows)
-        return scan(rows, n)
+    def counted(rows, i):
+        calls.append((rows, i))
+        return cell(rows, i)
 
-    monkeypatch.setattr(crystal, "_lowering_cells", counted)
+    monkeypatch.setattr(crystal, "_lowering_cell", counted)
     g = generate((1,), 5000)
-    assert len(g) == len(calls) == 5000
+    assert len(g) == 5000
+    assert calls == [(((k,),), k) for k in range(1, 5000)]
     assert g.edges == tuple((k, k + 1, k + 1) for k in range(4999))
 
 
 def test_generate_guards_the_raised_cell(monkeypatch):
     # raising the first surviving i instead of the last breaks a row of
     # B((2,1),3); generate must notice at the raised cell
-    def first_survivors(rows, n):
-        signatures = {i: oracles.i_signature(rows, i)[0] for i in range(1, n)}
-        return {i: plus[0] for i, plus in signatures.items() if plus}
+    def first_survivor(rows, i):
+        plus = oracles.i_signature(rows, i)[0]
+        return plus[0] if plus else None
 
-    monkeypatch.setattr(crystal, "_lowering_cells", first_survivors)
+    monkeypatch.setattr(crystal, "_lowering_cell", first_survivor)
     with pytest.raises(RuntimeError, match=r"operator f_1 broke semistandardness"):
         generate((2, 1), 3)
 
@@ -198,11 +187,19 @@ def test_generate_defining_crystal():
 
 @pytest.mark.parametrize(
     "shape,n",
-    [((2, 1), 3), ((2, 2), 4), ((3, 2), 4), ((4, 3), 4), ((3, 2, 1), 4), ((6, 5), 6)],
+    [
+        ((2, 1), 3), ((2, 2), 4), ((3, 2), 4), ((4, 3), 4), ((3, 2, 1), 4), ((6, 5), 6),
+        ((3, 2, 1), 5), ((2, 1, 1, 1), 5),
+    ],
 )
 def test_generate_matches_direct_enumeration(shape, n):
     g = generate(shape, n)
     assert len(g) == oracles.count_ssyt(shape, n)
+    # every cover against the symbol-stack f_i; an undefined f_i has none
+    for v, rows in enumerate(g.vertices):
+        for i in range(1, n):
+            image = oracles.apply_f(rows, i)
+            assert g.fwd[v].get(i) == (None if image is None else g.index[image])
 
 
 def test_generate_vertices_are_exactly_the_ssyt(g32):
