@@ -26,10 +26,13 @@ cover carries one class, as everywhere in a lower interval, it unions the
 covers themselves; elsewhere it runs union-find over per-class records.
 :func:`move_class_summary` makes one more rank-order pass over that table
 to get each class's chain count and least label sequence, so the
-chain-move components are summarized without listing a chain.  The one
-chain enumerator, :func:`stembridge_components`, is a depth-first search
-that carries each prefix's class beside the path through that table, so
-no chain is walked twice; :func:`saturated_chains` is its chain list.
+chain-move components are summarized without listing a chain.  Chains
+are listed in one place, :func:`_chains`: each is a prefix from the bottom
+joined at the middle rank to a suffix to the top, and the chain count is
+checked against the cap before any chain is built.
+:func:`saturated_chains` is that list alone; :func:`stembridge_components`
+adds the class pass and, only where the top has two or more classes,
+walks each chain's class up the class table.
 
 Dense down-set masks (the Euler check, the key fibers) come from one pass,
 :func:`_down_sets`, and breadth-first up-sets from :func:`_upset`.
@@ -62,6 +65,15 @@ EULER_VERTEX_CAP = 1_000  # interval vertices of the dense Euler cross-check
 
 class ChainCapError(RuntimeError):
     """Raised when chain enumeration would exceed the configured cap."""
+
+
+def _ends(graph: CrystalGraph) -> tuple[int, int]:
+    """The unique minimum and maximum, or ValueError naming the missing one."""
+    if graph.minimum is None:
+        raise ValueError("graph has no unique minimum")
+    if graph.maximum is None:
+        raise ValueError("graph has no unique maximum")
+    return graph.minimum, graph.maximum
 
 
 def _color_budget(wt_u: Sequence[int], wt_v: Sequence[int]) -> dict[int, int] | None:
@@ -247,8 +259,10 @@ def mobius_from(graph: CrystalGraph, source: int) -> list[int]:
 
 
 def interval_mobius(itv: CrystalGraph) -> int:
-    """Mobius value mu(bottom, top) over the extracted interval only."""
-    return mobius_from(itv, itv.minimum)[itv.maximum]
+    """Mobius value mu(bottom, top) over the extracted interval only; a
+    graph without a unique minimum or maximum raises ValueError."""
+    bottom, top = _ends(itv)
+    return mobius_from(itv, bottom)[top]
 
 
 def lower_mobius_all(graph: CrystalGraph) -> list[int]:
@@ -327,12 +341,56 @@ class SaturatedChain:
     labels: tuple[int, ...]
 
 
+def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[SaturatedChain]:
+    """The chains of :func:`saturated_chains`, each a prefix from the bottom
+    joined to a suffix to the top at the rank ``half`` above the bottom:
+    ``span // 2``, or the whole span below 4, where suffix lists cost more
+    than they save.  The prefixes grow up from the bottom rank by rank, and
+    the suffix lists down from the top vertex by vertex in decreasing rank;
+    both extend along the covers in increasing color order, so the joined
+    chains come out in label order.  Every prefix and every suffix extends
+    to a chain (the bottom and top are the unique minimum and maximum), so
+    a list longer than ``cap`` raises :class:`ChainCapError`, and so does a
+    chain count above ``cap``, counted before any chain is built."""
+    rank = itv.rank
+    up = [sorted(covers.items()) for covers in itv.fwd]  # (color, cover) by color
+    span = rank[top] - rank[bottom]
+    half = span if span < 4 else span // 2
+    prefixes = [((bottom,), ())]
+    for _ in range(half):
+        prefixes = [((*p, w), (*l, i)) for p, l in prefixes for i, w in up[p[-1]]]
+        if len(prefixes) > cap:
+            raise ChainCapError(f"chain cap {cap} exceeded")
+    if half == span:  # every prefix ends at the top
+        if len(prefixes) > cap:  # the one-vertex chain, at span 0
+            raise ChainCapError(f"chain cap {cap} exceeded")
+        return [SaturatedChain(p, l) for p, l in prefixes]
+    middle = rank[bottom] + half
+    suffix: list[list] = [[]] * len(itv)  # x -> (vertices, labels) of each chain x..top
+    suffix[top] = [((), ())]
+    for x in sorted(range(len(itv)), key=rank.__getitem__, reverse=True):
+        if middle <= rank[x] < rank[top]:
+            suffix[x] = [((w, *sv), (i, *sl)) for i, w in up[x] for sv, sl in suffix[w]]
+            if len(suffix[x]) > cap:
+                raise ChainCapError(f"chain cap {cap} exceeded")
+    if sum(len(suffix[p[-1]]) for p, _ in prefixes) > cap:
+        raise ChainCapError(f"chain cap {cap} exceeded")
+    return [SaturatedChain(p + sv, l + sl) for p, l in prefixes for sv, sl in suffix[p[-1]]]
+
+
 def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[SaturatedChain]:
-    """All maximal chains from bottom to top, sorted by labels: the chain
-    list of :func:`stembridge_components`, so the move-class pass runs too
-    and can raise :class:`ChainCapError` at ``MOVE_CLASS_CAP`` class
-    records.  More than ``cap`` chains raise :class:`ChainCapError`."""
-    return stembridge_components(itv, cap)[0]
+    """All maximal chains from bottom to top, sorted by labels, with no
+    move-class pass: prefixes from the bottom joined to suffixes to the top
+    at the middle rank (see :func:`_chains`).  The chain count is checked
+    first, so more than ``cap`` chains raise :class:`ChainCapError` before
+    any chain is built.  A graph without a unique minimum or maximum raises
+    ValueError.
+
+    >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
+    >>> [c.labels for c in saturated_chains(itv)]
+    [(1, 2, 2, 3), (2, 1, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1)]
+    """
+    return _chains(itv, *_ends(itv), cap)
 
 
 def _move_classes(
@@ -471,13 +529,15 @@ def _class_summaries(
     counts and taking the least of their least labels, each extended by the
     color of a -> z.  Label sequences to z all have one length, so that
     extension keeps the order.  More than ``cap`` chains raise
-    :class:`ChainCapError`.
+    :class:`ChainCapError`, and a graph without a unique minimum or maximum
+    raises ValueError.
     """
-    count, carry = _move_classes(itv, itv.minimum)
+    bottom, top = _ends(itv)
+    count, carry = _move_classes(itv, bottom)
     summary: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(itv))]
-    summary[itv.minimum] = [(1, ())]
+    summary[bottom] = [(1, ())]
     for z in sorted(range(len(itv)), key=itv.rank.__getitem__):
-        if z == itv.minimum:
+        if z == bottom:
             continue
         sizes = [0] * count[z]
         least: list = [None] * count[z]  # (labels to a, color of a -> z)
@@ -487,10 +547,9 @@ def _class_summaries(
                 if least[k] is None or (labels, i) < least[k]:
                     least[k] = (labels, i)
         summary[z] = [(size, (*labels, i)) for size, (labels, i) in zip(sizes, least)]
-    top = summary[itv.maximum]
-    if sum(size for size, _ in top) > cap:
+    if sum(size for size, _ in summary[top]) > cap:
         raise ChainCapError(f"chain cap {cap} exceeded")
-    return carry, top
+    return carry, summary[top]
 
 
 def move_class_summary(itv: CrystalGraph, cap: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -498,7 +557,8 @@ def move_class_summary(itv: CrystalGraph, cap: int) -> list[tuple[int, tuple[int
     maximal chains, ordered by least labels: the sizes and first chains of
     the components of :func:`stembridge_components`, with no chain
     enumerated.  More than ``cap`` chains, or more than ``MOVE_CLASS_CAP``
-    class records, raise :class:`ChainCapError`.
+    class records, raise :class:`ChainCapError`; a graph without a unique
+    minimum or maximum raises ValueError.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> move_class_summary(itv, 4)
@@ -513,52 +573,33 @@ def stembridge_components(
     """All saturated chains, sorted by labels, and the components of their
     move graph as sorted lists of chain indices, ordered by first chain.
 
-    One depth-first search in increasing color order (a chain is fixed by
-    its labels).  Beside the path it keeps each prefix's move class,
-    advanced along each cover through the class table of
-    :func:`_move_classes`, so a chain's component is its class at the top.
-    More than ``cap`` chains, or more than ``MOVE_CLASS_CAP`` class
-    records, raise :class:`ChainCapError`.
+    The class table of :func:`_move_classes` comes first, then the chains
+    of :func:`saturated_chains`, split at the middle rank (see
+    :func:`_chains`); no class is carried while they are listed.  A chain's
+    component is its move class at the top.  When the top has one class,
+    every chain is in it; otherwise each chain walks its class up the
+    table, ``c = carry[w][a][c]`` along each of its covers a -> w.  More
+    than ``MOVE_CLASS_CAP`` class records raise :class:`ChainCapError`, and
+    so do more than ``cap`` chains, counted before any chain is built.  A
+    graph without a unique minimum or maximum raises ValueError.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> chains, components = stembridge_components(itv)
     >>> [c.labels for c in chains], components
     ([(1, 2, 2, 3), (2, 1, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1)], [[0], [1, 2], [3]])
     """
-    carry = _move_classes(itv, itv.minimum)[1]
-    chains: list[SaturatedChain] = []
+    bottom, top = _ends(itv)
+    count, carry = _move_classes(itv, bottom)
+    chains = _chains(itv, bottom, top, cap)
+    if count[top] == 1:
+        return chains, [list(range(len(chains)))]
     members: dict[int, list[int]] = {}  # class at the top -> chain indices
-
-    def emit(vertices: tuple[int, ...], labels: tuple[int, ...], c: int) -> None:
-        members.setdefault(c, []).append(len(chains))
-        chains.append(SaturatedChain(vertices, labels))
-        if len(chains) > cap:
-            raise ChainCapError(f"chain cap {cap} exceeded")
-
-    top = itv.maximum
-    if itv.minimum == top:
-        emit((top,), (), 0)
-        return chains, [[0]]
-    up = [sorted(covers.items()) for covers in itv.fwd]  # (color, cover) by color
-    path, labels, classes = [itv.minimum], [], [0]
-    branches = [iter(up[itv.minimum])]  # one per path vertex
-    while branches:
-        for i, w in branches[-1]:
-            c = carry[w][path[-1]][classes[-1]]
-            if w == top:
-                emit((*path, w), (*labels, i), c)
-                continue
-            path.append(w)
-            labels.append(i)
-            classes.append(c)
-            branches.append(iter(up[w]))
-            break
-        else:
-            branches.pop()
-            path.pop()
-            classes.pop()
-            if labels:
-                labels.pop()
+    for k, chain in enumerate(chains):
+        c = 0
+        path = chain.vertices
+        for a, w in zip(path, path[1:]):
+            c = carry[w][a][c]
+        members.setdefault(c, []).append(k)
     # each list is increasing, so sorting orders them by first chain
     return chains, sorted(members.values())
 

@@ -592,10 +592,74 @@ def test_move_class_cap(monkeypatch):
         move_classes_from(itv, itv.minimum)
     with pytest.raises(ChainCapError):
         stembridge_components(itv)
-    with pytest.raises(ChainCapError):  # the chain list runs the class pass too
-        saturated_chains(itv)
+    assert len(saturated_chains(itv)) == 374  # the chain list runs no class pass
     with pytest.raises(ChainCapError, match="move-class record cap"):
         move_class_summary(itv, 374)
+
+
+def test_refused_chain_cap_builds_no_chain(monkeypatch):
+    # s2[n=5]: 374 chains; the cap is checked before the first chain is built
+    itv = free_interval(*scenarios._two_row_endpoints(5), 6)
+    built = []
+    real = poset.SaturatedChain
+
+    def counting(vertices, labels):
+        built.append(labels)
+        return real(vertices, labels)
+
+    monkeypatch.setattr(poset, "SaturatedChain", counting)
+    for call in (saturated_chains, stembridge_components):
+        with pytest.raises(ChainCapError, match="^chain cap 373 exceeded$"):
+            call(itv, cap=373)
+        assert built == []
+    assert len(saturated_chains(itv, cap=374)) == len(built) == 374
+    built.clear()
+    chains, components = stembridge_components(itv, cap=374)
+    assert len(chains) == len(built) == 374 and len(components) == 9
+
+
+def _split_case(case):
+    """A free interval of B((3,2,1),5) of the given span, 3 covers above
+    the highest tableau; "reversed" is the span-9 one reversed, and
+    "mutant" an imported mutant of B((3,1),4) of span 10 with two classes."""
+    if case == "reversed":
+        return _split_case(9).reverse()
+    if case == "mutant":
+        return next(_imported_mutants(generate((3, 1), 4), 3, 450))
+    rng = random.Random(case)
+    u = _random_f_walk(rng, highest((3, 2, 1), 5), 5, 3)
+    itv = free_interval(u, _random_f_walk(rng, u, 5, case), 5)
+    assert itv.span == case
+    return itv
+
+
+@pytest.mark.parametrize("case", [*range(12), "reversed", "mutant"])
+def test_chain_split_at_every_span(case):
+    # spans 0..3 list whole prefixes; from 4 on, prefixes meet suffix lists
+    # at the middle rank
+    itv = _split_case(case)
+    expected = oracles.brute_move_components(itv)
+    assert saturated_chains(itv) == expected[0]
+    assert stembridge_components(itv) == expected
+    if case == "mutant":
+        assert (itv.span, len(expected[0]), len(expected[1])) == (10, 100, 2)
+
+
+def test_chain_layer_needs_a_unique_minimum_and_maximum():
+    # an import with covers 0 -> 1 and 0 -> 2 has two maximal vertices, and
+    # its reverse two minimal ones
+    g = graph_from_json(
+        {"shape": [1], "n": 3, "vertices": [[[1]], [[2]], [[3]]],
+         "edges": [[0, 1, 1], [0, 2, 2]]}
+    )
+    calls = (
+        saturated_chains, stembridge_components, interval_mobius,
+        lambda h: move_class_summary(h, 10),
+    )
+    for h, missing in ((g, "maximum"), (g.reverse(), "minimum")):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^graph has no unique {missing}$"):
+                call(h)
 
 
 def test_components_cap_bounds_chains_only(base_interval):
