@@ -315,15 +315,14 @@ class AxiomReport:
         return self.passed
 
 
-def apply_word(graph: CrystalGraph, v: int, word: Iterable[int], direction: str) -> int | None:
-    """Follow the colors of ``word`` from v along f edges (direction "f") or
-    e edges ("e"); None as soon as one is missing."""
-    adj = graph.bwd if direction == "e" else graph.fwd
+def apply_word(graph: CrystalGraph, v: int, word: Iterable[int]) -> int | None:
+    """Follow the colors of ``word`` from v up the covers (f edges); None as
+    soon as one is missing.  Walk e edges on ``graph.reverse()``."""
     cur: int | None = v
     for i in word:
         if cur is None:
             return None
-        cur = adj[cur].get(i)
+        cur = graph.fwd[cur].get(i)
     return cur
 
 
@@ -503,7 +502,7 @@ def local_structure(graph: CrystalGraph, u: int, i: int, j: int) -> LocalStructu
         # by weights, a shorter closure over v and w could only sit two steps
         # up, reached by {i, j} from one side and f_i f_i w or f_j f_j v
         for side, repeated in ((v, w3), (w, v3)):
-            if repeated in {apply_word(graph, side, word, "f") for word in ((i, j), (j, i))}:
+            if repeated in {apply_word(graph, side, word) for word in ((i, j), (j, i))}:
                 raise ValueError(f"closure of length 2 coexists with degree-4 data at {u}")
     return LocalStructure(len(sides[0]) - 1, sides[0][-1], sides)
 

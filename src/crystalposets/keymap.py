@@ -22,7 +22,7 @@ from operator import or_
 
 from . import weyl
 from .crystal import CrystalGraph, weight
-from .poset import _down_sets
+from .poset import _down_sets, _minimum
 
 Permutation = weyl.Permutation
 
@@ -61,8 +61,7 @@ def compute_keys(graph: CrystalGraph) -> KeyTable:
     >>> table[0]
     (1, 2, 3)
     """
-    if graph.minimum is None:
-        raise ValueError("graph has no unique minimum")
+    _minimum(graph)  # the rank rules assume one minimum
     n = graph.n
     ident = weyl.identity(n)
     keys: list[Permutation | None] = [None] * len(graph)
@@ -134,7 +133,8 @@ def check_key_axioms(graph: CrystalGraph, table: KeyTable) -> KeyReport:
 
 @dataclass
 class Fiber:
-    """A key-map fiber with the order induced from the crystal poset.
+    """A key-map fiber with the order induced from the crystal poset,
+    given by its covers alone: every comparable pair is a chain of them.
 
     ``covers`` lists induced cover pairs (a, b, color); the color is the
     edge color when the pair is also a crystal cover, else None.
@@ -143,7 +143,6 @@ class Fiber:
 
     word: Permutation
     vertices: tuple[int, ...]
-    relations: tuple[tuple[int, int], ...]
     covers: tuple[tuple[int, int, int | None], ...]
     components: tuple[tuple[int, ...], ...]
 
@@ -160,28 +159,25 @@ def _fiber_masks(graph: CrystalGraph, table: KeyTable, w: Permutation):
 
 
 def fiber(graph: CrystalGraph, table: KeyTable, w: Permutation) -> Fiber:
-    """All vertices with key w, their induced order, and its components,
-    read off their down-set masks: the relations are the bits of each strict
-    mask, the covers those bits minus the union of their masks, and the
-    components the masks merged where they share a bit."""
+    """All vertices with key w, the covers of their induced order, and its
+    components, read off their down-set masks: the covers of a vertex are
+    the bits of its strict mask minus the union of those bits' own masks,
+    and the components are the masks merged where they share a bit.  No
+    comparable pair is listed on its own."""
     w = weyl.check_permutation(w, graph.n)
     verts, strict = _fiber_masks(graph, table, w)
-    relations, covers, groups = [], [], []
+    covers, groups = [], []
     for k, (y, below) in enumerate(zip(verts, strict)):
-        lower = _bits(below)
-        nested = reduce(or_, [strict[a] for a in lower], 0)  # not covers of y
-        for a in lower:
+        nested = reduce(or_, [strict[a] for a in _bits(below)], 0)  # not covers of y
+        for a in _bits(below & ~nested):
             x = verts[a]
-            relations.append((x, y))
-            if not nested >> a & 1:
-                covers.append((x, y, next((i for i, t in graph.fwd[x].items() if t == y), None)))
+            covers.append((x, y, next((i for i, t in graph.fwd[x].items() if t == y), None)))
         group = below | 1 << k  # merged with the disjoint groups it meets
         meets = [g for g in groups if g & group]
         groups = [g for g in groups if not g & group] + [reduce(or_, meets, group)]
     return Fiber(
         word=w,
         vertices=tuple(verts),
-        relations=tuple(sorted(relations)),
         covers=tuple(sorted(covers)),
         components=tuple(sorted(tuple(verts[a] for a in _bits(g)) for g in groups)),
     )
@@ -190,9 +186,7 @@ def fiber(graph: CrystalGraph, table: KeyTable, w: Permutation) -> Fiber:
 def shape_stabilizer(graph: CrystalGraph) -> frozenset[int]:
     """Stabilizer of the highest weight: the colors whose simple reflection
     fixes the minimum's weight (the lowest weight on a reversed view)."""
-    if graph.minimum is None:
-        raise ValueError("graph has no unique minimum")
-    wt = weight(graph.vertices[graph.minimum], graph.n)
+    wt = weight(graph.vertices[_minimum(graph)], graph.n)
     return frozenset(k + 1 for k in range(len(wt) - 1) if wt[k] == wt[k + 1])
 
 

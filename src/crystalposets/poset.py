@@ -67,13 +67,19 @@ class ChainCapError(RuntimeError):
     """Raised when chain enumeration would exceed the configured cap."""
 
 
-def _ends(graph: CrystalGraph) -> tuple[int, int]:
-    """The unique minimum and maximum, or ValueError naming the missing one."""
+def _minimum(graph: CrystalGraph) -> int:
+    """The unique minimum, or ValueError saying there is none."""
     if graph.minimum is None:
         raise ValueError("graph has no unique minimum")
+    return graph.minimum
+
+
+def _ends(graph: CrystalGraph) -> tuple[int, int]:
+    """The unique minimum and maximum, or ValueError naming the missing one."""
+    bottom = _minimum(graph)
     if graph.maximum is None:
         raise ValueError("graph has no unique maximum")
-    return graph.minimum, graph.maximum
+    return bottom, graph.maximum
 
 
 def _color_budget(wt_u: Sequence[int], wt_v: Sequence[int]) -> dict[int, int] | None:
@@ -267,9 +273,7 @@ def interval_mobius(itv: CrystalGraph) -> int:
 
 def lower_mobius_all(graph: CrystalGraph) -> list[int]:
     """mu(minimum, x) for every vertex x, in one pass over the whole graph."""
-    if graph.minimum is None:
-        raise ValueError("graph has no unique minimum")
-    return mobius_from(graph, graph.minimum)
+    return mobius_from(graph, _minimum(graph))
 
 
 def _down_sets(graph: CrystalGraph, members: Sequence[int]) -> list[int]:
@@ -299,15 +303,18 @@ def euler_mobius(itv: CrystalGraph) -> int:
     interval, by counting chains of every size over the masks of
     :func:`_down_sets`; an independent cross-check of :func:`interval_mobius`.
     The count takes O(V^2 * span) time, so an interval of more than
-    ``EULER_VERTEX_CAP`` vertices raises :class:`GraphSizeError`.
+    ``EULER_VERTEX_CAP`` vertices raises :class:`GraphSizeError`, and a
+    graph without a unique minimum or maximum raises ValueError, as in
+    :func:`interval_mobius`.
     """
+    bottom, top = _ends(itv)
     if itv.span < 1:
         raise ValueError("Euler cross-check needs an interval of rank at least 1")
     if len(itv) > EULER_VERTEX_CAP:
         raise GraphSizeError(
             f"Euler cross-check vertex cap {EULER_VERTEX_CAP} exceeded: {len(itv)} vertices"
         )
-    inner = [z for z in range(len(itv)) if z not in (itv.minimum, itv.maximum)]
+    inner = [z for z in range(len(itv)) if z not in (bottom, top)]
     down = _down_sets(itv, range(len(itv)))  # bitmask of {y : y <= z}
     # chains_by_size[z] = number of chains in the open interval ending at z,
     # indexed by size; build up one extra element at a time
@@ -519,10 +526,12 @@ def move_classes_from(graph: CrystalGraph, source: int) -> list[int]:
 
 def _class_summaries(
     itv: CrystalGraph, cap: int
-) -> tuple[list[dict[int, list[int]]], list[tuple[int, tuple[int, ...]]]]:
-    """The class table of :func:`_move_classes` from the bottom of ``itv``,
-    and (chain count, least label sequence) of each move class at the top,
-    indexed by its class id there.
+) -> tuple[list[tuple[int, tuple[int, ...]]], Callable[[tuple[int, ...]], int | None]]:
+    """(chain count, least label sequence) of each move class at the top of
+    ``itv``, indexed by its class id there, and ``class_of``: the labels of
+    a chain from the bottom -> that chain's class id at the top, or None if
+    no such chain exists.  Both read the class table of
+    :func:`_move_classes` from the bottom, so callers never index it.
 
     One more pass in rank order: a class at z gathers the classes j at
     each lower cover a that ``carry[z][a]`` sends to it, adding their chain
@@ -549,7 +558,18 @@ def _class_summaries(
         summary[z] = [(size, (*labels, i)) for size, (labels, i) in zip(sizes, least)]
     if sum(size for size, _ in summary[top]) > cap:
         raise ChainCapError(f"chain cap {cap} exceeded")
-    return carry, summary[top]
+
+    def class_of(labels: tuple[int, ...]) -> int | None:
+        """The move class at the top of the chain with these labels, from
+        the bottom through the class table; None if there is no such chain."""
+        v, k = bottom, 0
+        for i in labels:
+            if (w := itv.fwd[v].get(i)) is None:
+                return None
+            v, k = w, carry[w][v][k]
+        return k if v == top else None
+
+    return summary[top], class_of
 
 
 def move_class_summary(itv: CrystalGraph, cap: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -564,7 +584,7 @@ def move_class_summary(itv: CrystalGraph, cap: int) -> list[tuple[int, tuple[int
     >>> move_class_summary(itv, 4)
     [(1, (1, 2, 2, 3)), (2, (2, 1, 3, 2)), (1, (3, 2, 2, 1))]
     """
-    return sorted(_class_summaries(itv, cap)[1], key=lambda s: s[1])
+    return sorted(_class_summaries(itv, cap)[0], key=lambda s: s[1])
 
 
 def stembridge_components(

@@ -537,7 +537,6 @@ def brute_fiber(graph: CrystalGraph, table, w: tuple[int, ...]) -> Fiber:
     return Fiber(
         word=tuple(w),
         vertices=tuple(verts),
-        relations=tuple(sorted(less)),
         covers=tuple(sorted(covers)),
         components=tuple(sorted(components)),
     )
@@ -593,6 +592,7 @@ def brute_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
     def rise(v: int) -> dict[int, int]:
         return {j: string_stats(graph, v, j).rise for j in colors}
 
+    down = graph.reverse()  # apply_word on it follows e edges
     for b in range(len(graph.vertices)):
         d_b, r_b = delta(b), rise(b)
         for i in colors:
@@ -618,8 +618,8 @@ def brute_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
                 d_bi = delta(graph.bwd[b][i])
                 dd_ij = d_bi[j] - d_b[j]
                 if dd_ij == 0:
-                    x = apply_word(graph, b, (i, j), "e")
-                    y = apply_word(graph, b, (j, i), "e")
+                    x = apply_word(down, b, (i, j))
+                    y = apply_word(down, b, (j, i))
                     if x is None or y is None or x != y:
                         return AxiomReport(False, "P5", b, i, j, "raising square does not close")
                     fx = graph.fwd[x].get(j)
@@ -628,8 +628,8 @@ def brute_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
                 elif dd_ij == -1:
                     d_bj = delta(graph.bwd[b][j])
                     if d_bj[i] - d_b[i] == -1:
-                        x = apply_word(graph, b, (i, j, j, i), "e")
-                        y = apply_word(graph, b, (j, i, i, j), "e")
+                        x = apply_word(down, b, (i, j, j, i))
+                        y = apply_word(down, b, (j, i, i, j))
                         if x is None or y is None or x != y:
                             return AxiomReport(False, "P6", b, i, j, "raising hexagon does not close")
                         r_x = rise(x)

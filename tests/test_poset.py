@@ -1,5 +1,6 @@
 """Interval extraction, Mobius values, chains, moves, and witnesses."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,12 +14,21 @@ from crystalposets import poset, scenarios
 from crystalposets.crystal import (
     GraphSizeError,
     apply_f,
+    check_stembridge_axioms,
     generate,
     graph_from_json,
     graph_to_json,
     highest,
     weight,
     _closure,
+)
+from crystalposets.keymap import (
+    compute_keys,
+    fiber,
+    fiber_to_json,
+    key_table_to_json,
+    minimal_fiber_elements,
+    shape_stabilizer,
 )
 from crystalposets.scenarios import DEFAULT_MATRIX
 from crystalposets.poset import (
@@ -484,6 +494,56 @@ def test_recorded_query_corpus():
     assert _query_corpus(400) == (CORPUS_DIGEST, 28414, 8)
 
 
+WHOLE_CASES = (
+    ((2, 1), 3), ((3, 2), 4), ((4, 3), 4), ((2, 2), 4), ((3, 1), 5), ((3, 2, 1), 4), ((5, 4), 6),
+)
+
+
+def _whole_graph_corpus(mutants):
+    """sha256 over the public outputs of the whole-graph kernels on each
+    crystal of ``WHOLE_CASES`` and its reverse: the move-class counts from
+    the minimum, lower mu, the key table, the minimal fiber elements and,
+    below 1,000 vertices, every key fiber; then the axiom reports on
+    ``mutants`` seeded imported mutants of each crystal below 1,000
+    vertices.  Also returns the fiber count, the mutant count and the
+    number of mutants that fail the axioms."""
+    digest = hashlib.sha256()
+    fibers = checked = failed = 0
+    small = []
+    for shape, n in WHOLE_CASES:
+        g = generate(shape, n)
+        if len(g) < 1000:
+            small.append(g)
+        for h in (g, g.reverse()):
+            table = compute_keys(h)
+            minima = minimal_fiber_elements(h, table)
+            keys = sorted(table.fibers) if len(h) < 1000 else []
+            fibs = [fiber_to_json(fiber(h, table, w)) for w in keys]
+            record = [
+                move_classes_from(h, h.minimum), poset.lower_mobius_all(h),
+                key_table_to_json(table), sorted([sorted(sub), v] for sub, v in minima.items()),
+                fibs,
+            ]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+            fibers += len(fibs)
+    for seed, g in enumerate(small):
+        for h in _imported_mutants(g, seed, mutants):
+            report = check_stembridge_axioms(h)
+            digest.update(json.dumps(dataclasses.asdict(report), sort_keys=True).encode())
+            checked += 1
+            failed += not report.passed
+    return digest.hexdigest(), fibers, checked, failed
+
+
+# recorded from the library before key fibers dropped their relation list
+WHOLE_CORPUS_DIGEST = "2e4eb43450d060e1660f0bb3a8700779441f7439b92fe0c0f2de7d5b56b82621"
+
+
+def test_recorded_whole_graph_corpus():
+    # 160 fibers; 94 imported mutants with both ends, 70 failing the axioms
+    assert _whole_graph_corpus(40) == (WHOLE_CORPUS_DIGEST, 160, 94, 70)
+
+
 def _union_find_vertices(graph, count):
     """The vertices whose classes the union-find branch of the move-class
     pass merges: two or more lower covers with chains, one of them carrying
@@ -653,13 +713,18 @@ def test_chain_layer_needs_a_unique_minimum_and_maximum():
          "edges": [[0, 1, 1], [0, 2, 2]]}
     )
     calls = (
-        saturated_chains, stembridge_components, interval_mobius,
+        saturated_chains, stembridge_components, interval_mobius, euler_mobius,
         lambda h: move_class_summary(h, 10),
     )
     for h, missing in ((g, "maximum"), (g.reverse(), "minimum")):
         for call in calls:
             with pytest.raises(ValueError, match=f"^graph has no unique {missing}$"):
                 call(h)
+    # the whole-graph kernels that start from the minimum need only that end
+    for call in (poset.lower_mobius_all, compute_keys, shape_stabilizer):
+        call(g)
+        with pytest.raises(ValueError, match="^graph has no unique minimum$"):
+            call(g.reverse())
 
 
 def test_components_cap_bounds_chains_only(base_interval):
