@@ -34,7 +34,8 @@ checked against the cap before any chain is built.
 adds the class pass and, only where the top has two or more classes,
 walks each chain's class up the class table.
 
-Dense down-set masks (the Euler check, the key fibers) come from one pass,
+Dense down-set masks (the Euler check, the key fibers, and on the reversed
+graph the up-sets of the s8 certificate) come from one pass,
 :func:`_down_sets`, and breadth-first up-sets from :func:`_upset`.
 """
 
@@ -234,18 +235,41 @@ def mobius_from(graph: CrystalGraph, source: int) -> list[int]:
     """mu(source, z) for every vertex z, 0 where z is not above source, by
     the defining recursion mu(s, z) = -sum of mu(s, y) over s <= y < z.
 
-    One pass in rank order.  The down-set mask of z is the union of its
-    lower covers' masks and holds one bit per vertex y < z with nonzero
-    mu(source, y); a vertex takes the next free bit only when its own value
-    is nonzero.  Zero terms add nothing, so this is exact, and the masks
-    stay as small as the support of mu instead of growing to O(V^2) bits.
+    One breadth-first pass up the covers from the source, which visits the
+    up-set of the source in rank order (the graph is graded) and reads the
+    covers of no other vertex, so a pass costs the size of the up-set, not
+    of the graph.  The down-set mask of z is the union of its lower covers'
+    masks and holds one bit per vertex y < z with nonzero mu(source, y); a
+    vertex takes the next free bit only when its own value is nonzero.
+    Zero terms add nothing, so this is exact, and the masks stay as small
+    as the support of mu instead of growing to O(V^2) bits.
+
+    >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
+    >>> mid = itv.fwd[itv.minimum][1]
+    >>> mu = mobius_from(itv, mid)
+    >>> mu[mid], mu[itv.fwd[mid][2]], mu[itv.minimum]
+    (1, -1, 0)
     """
+    return _mobius_upset(graph, source)[1]
+
+
+def _mobius_upset(graph: CrystalGraph, source: int) -> tuple[list[int], list[int]]:
+    """The up-set of source in rank order, and the values of
+    :func:`mobius_from`, which are 0 off that up-set."""
     mu = [0] * len(graph)
     down = [0] * len(graph)
+    seen = [False] * len(graph)
+    seen[source] = True
+    order = [source]  # the up-set, grown while it is walked
     owner: list[int] = []  # owner[k] is the vertex holding bit k
-    for z in sorted(range(len(graph)), key=graph.rank.__getitem__):
+    fwd, bwd = graph.fwd, graph.bwd
+    for z in order:
+        for w in fwd[z].values():
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
         mask = 0
-        for y in graph.bwd[z].values():
+        for y in bwd[z].values():
             mask |= down[y]
         if z == source:
             value = 1
@@ -261,7 +285,7 @@ def mobius_from(graph: CrystalGraph, source: int) -> list[int]:
             owner.append(z)
         mu[z] = value
         down[z] = mask
-    return mu
+    return order, mu
 
 
 def interval_mobius(itv: CrystalGraph) -> int:
@@ -302,10 +326,13 @@ def euler_mobius(itv: CrystalGraph) -> int:
     """Reduced Euler characteristic of the order complex of the open
     interval, by counting chains of every size over the masks of
     :func:`_down_sets`; an independent cross-check of :func:`interval_mobius`.
-    The count takes O(V^2 * span) time, so an interval of more than
-    ``EULER_VERTEX_CAP`` vertices raises :class:`GraphSizeError`, and a
-    graph without a unique minimum or maximum raises ValueError, as in
-    :func:`interval_mobius`.
+    Chains grow by one element per round, and z sums the counts of the
+    chain ends below it over the set bits of its down-set mask and the
+    mask of ends, so a round costs the comparable pairs (end, z), not V^2
+    bit tests.  The dense masks still take O(V^2) bits, so an interval of
+    more than ``EULER_VERTEX_CAP`` vertices raises :class:`GraphSizeError`,
+    and a graph without a unique minimum or maximum raises ValueError, as
+    in :func:`interval_mobius`.
     """
     bottom, top = _ends(itv)
     if itv.span < 1:
@@ -316,21 +343,25 @@ def euler_mobius(itv: CrystalGraph) -> int:
         )
     inner = [z for z in range(len(itv)) if z not in (bottom, top)]
     down = _down_sets(itv, range(len(itv)))  # bitmask of {y : y <= z}
-    # chains_by_size[z] = number of chains in the open interval ending at z,
-    # indexed by size; build up one extra element at a time
+    # current[z] = number of chains of the open interval of the current size
+    # whose largest element is z; build up one extra element at a time
     result = -1
     current = {z: 1 for z in inner}  # size-1 chains
     sign = 1
     while current:
         result += sign * sum(current.values())
         sign = -sign
+        ends = 0
+        for y in current:
+            ends |= 1 << y
         nxt: dict[int, int] = {}
         for z in inner:
-            below = down[z] & ~(1 << z)
+            rest = down[z] & ends & ~(1 << z)
             total = 0
-            for y in current:
-                if below >> y & 1:
-                    total += current[y]
+            while rest:
+                bit = rest & -rest
+                total += current[bit.bit_length() - 1]
+                rest ^= bit
             if total:
                 nxt[z] = total
         current = nxt

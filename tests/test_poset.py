@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from collections.abc import Mapping
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from crystalposets.crystal import (
     graph_from_json,
     graph_to_json,
     highest,
+    local_structure,
     weight,
     _closure,
 )
@@ -208,13 +210,16 @@ def test_euler_base_interval(base_interval):
     assert euler_mobius(base_interval) == 2
 
 
-def test_mobius_equals_euler_exhaustively_on_small_crystal(g21):
-    for u in range(len(g21)):
-        for v in oracles.brute_upset(g21, u):
-            itv = interval(g21, u, v)
-            if u != v:
-                assert interval_mobius(itv) == euler_mobius(itv)
-            assert interval_mobius(itv) == oracles.brute_mobius(g21, u, v)
+def test_mobius_equals_euler_exhaustively_on_small_crystal(graphs):
+    # every interval of B((2,1),3), B((2,2),4) and B((3,2),4): 1,010 in all
+    for key in (((2, 1), 3), ((2, 2), 4), ((3, 2), 4)):
+        g = graphs[key]
+        for u in range(len(g)):
+            for v in oracles.brute_upset(g, u):
+                itv = interval(g, u, v)
+                if u != v:
+                    assert interval_mobius(itv) == euler_mobius(itv)
+                assert interval_mobius(itv) == oracles.brute_mobius(g, u, v)
 
 
 def test_euler_needs_positive_span(g21):
@@ -259,6 +264,42 @@ def test_lower_mobius_all_matches_pointwise(graphs, key):
             got = mobius_from(h, u)
             for z in range(len(h)):
                 assert got[z] == (oracles.brute_mobius(h, u, z) if z in upset else 0)
+
+
+class _ReadLog(Mapping):
+    """The covers of one vertex, logging that vertex whenever they are read."""
+
+    def __init__(self, covers, vertex, log):
+        self.covers, self.vertex, self.log = covers, vertex, log
+
+    def __getitem__(self, i):
+        self.log.add(self.vertex)
+        return self.covers[i]
+
+    def __iter__(self):
+        self.log.add(self.vertex)
+        return iter(self.covers)
+
+    def __len__(self):
+        self.log.add(self.vertex)
+        return len(self.covers)
+
+
+def test_mobius_from_reads_only_the_upset(g43):
+    # a pass from a mid-rank source reads the covers of its up-set and of no
+    # other vertex, on the graph and on its dual
+    for h in (g43, g43.reverse()):
+        source = h.rank.index(h.span // 2)
+        upset = oracles.brute_upset(h, source)
+        assert len(upset) < len(h)
+        read = set()
+        logged = dataclasses.replace(
+            h,
+            fwd=tuple(_ReadLog(c, v, read) for v, c in enumerate(h.fwd)),
+            bwd=tuple(_ReadLog(c, v, read) for v, c in enumerate(h.bwd)),
+        )
+        assert mobius_from(logged, source) == mobius_from(h, source)
+        assert read == upset
 
 
 @pytest.mark.parametrize("key", DEFAULT_MATRIX)
@@ -759,6 +800,59 @@ def test_degree2_pair_has_unique_local_bound(g43):
     # ones of rank <= rank(u) + 2 are those minimal among that rank range
     mubs = [z for z in minimal_upper_bounds(g43, v, w) if g43.rank[z] <= g43.rank[u] + 2]
     assert mubs == [g43.fwd[v][3]] == [g43.fwd[w][1]]
+
+
+def _local_top_verdicts(h):
+    """For every (u, i, j) where ``local_structure`` closes over f_i(u) and
+    f_j(u): the verdict of s8's mask check, and whether the top is among
+    :func:`minimal_upper_bounds` of the pair."""
+    up = poset._down_sets(h.reverse(), range(len(h)))
+    for u in range(len(h)):
+        for i, j in combinations(sorted(h.fwd[u]), 2):
+            try:
+                top = local_structure(h, u, i, j).top
+            except ValueError:
+                continue
+            b, c = h.fwd[u][i], h.fwd[u][j]
+            yield scenarios._local_top_minimal(h, up, u, i, j), top in minimal_upper_bounds(h, b, c)
+
+
+@pytest.mark.parametrize("key", DEFAULT_MATRIX)
+def test_local_top_minimal_matches_minimal_upper_bounds(graphs, key):
+    for h in (graphs[key], graphs[key].reverse()):
+        verdicts = list(_local_top_verdicts(h))
+        assert verdicts and all(got == want for got, want in verdicts)
+
+
+def _covers_added(g):
+    """Every ``graph_from_json`` import of g with one more cover edge, and
+    its reverse, where the import has a unique minimum and maximum."""
+    data = graph_to_json(g)
+    for a in range(len(g)):
+        for b in range(len(g)):
+            if g.rank[b] != g.rank[a] + 1:
+                continue
+            for i in g.colors:
+                try:
+                    mutant = graph_from_json({**data, "edges": data["edges"] + [[a, b, i]]})
+                except ValueError:
+                    continue
+                for h in (mutant, mutant.reverse()):
+                    if h.minimum is not None and h.maximum is not None:
+                        yield h
+
+
+def test_local_top_minimal_matches_minimal_upper_bounds_on_imported_mutants():
+    mutants = [
+        h
+        for seed, key in enumerate((((2, 1), 3), ((2, 2), 4), ((3, 1), 4), ((3, 2), 4)))
+        for h in _imported_mutants(generate(*key), seed, 100)
+    ]
+    # an added cover can put a common upper bound below a hexagon's top
+    mutants += _covers_added(generate((2, 1), 4))
+    verdicts = [verdict for h in mutants for verdict in _local_top_verdicts(h)]
+    assert all(got == want for got, want in verdicts)
+    assert any(not want for _, want in verdicts)
 
 
 def test_witness_in_base_interval(base_interval):
