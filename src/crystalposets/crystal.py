@@ -162,7 +162,9 @@ class CrystalGraph:
     reproducible.  The covers are stored only as forward and backward
     adjacency per color, so string walks are O(1) per step; ``bwd`` is
     inverted from ``fwd`` and ``index`` built from the vertices when not
-    passed.  The edge list (:attr:`edges`) and the weights are derived.
+    passed, as :func:`generate` and interval extraction leave them.  The
+    inversion lists each vertex's lower covers by increasing index.  The
+    edge list (:attr:`edges`) and the weights are derived.
 
     An interval [u, v] is a graph whose ``minimum`` and ``maximum`` are u and
     v.  Its vertices are ordered by (rank, tableau) and ``budget`` holds the

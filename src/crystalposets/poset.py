@@ -11,8 +11,9 @@ tableaux it finds with integer ids and records each cover it takes, and
 the interval is what v reaches back down those covers, so no e_i is ever
 applied.  An interval is itself a :class:`CrystalGraph`
 (local indices, restricted covers, its bottom and top as minimum and
-maximum), which lets the same machinery run on intervals of crystals far
-too large to generate.
+maximum), built from its upward covers alone, as a generated crystal is;
+that lets the same machinery run on intervals of crystals far too large
+to generate.
 
 Two analytics pass a small summary per vertex upward in rank order instead
 of enumerating: :func:`mobius_from` (mu from one source to every vertex)
@@ -28,8 +29,9 @@ covers themselves; elsewhere it runs union-find over per-class records.
 to get each class's chain count and least label sequence, so the
 chain-move components are summarized without listing a chain.  Chains
 are listed in one place, :func:`_chains`: each is a prefix from the bottom
-joined at the middle rank to a suffix to the top, and the chain count is
-checked against the cap before any chain is built.
+joined at the middle rank to a suffix to the top, and one integer pass
+counts the chains and checks the count against the cap before any prefix
+or suffix is built.
 :func:`saturated_chains` is that list alone; :func:`stembridge_components`
 adds the class pass and, only where the top has two or more classes,
 walks each chain's class up the class table.
@@ -116,7 +118,9 @@ def _extract(
     it takes, keyed by its upper end; [u, v] is the closure of v under
     those recorded covers, and its covers are the recorded ones whose upper
     end it holds.  Local indices go by (rank, tableau), so extraction is
-    deterministic.
+    deterministic.  Only the upward covers ``fwd`` are built here;
+    :class:`CrystalGraph` inverts them into ``bwd``, which lists each
+    vertex's lower covers by increasing local index.
     """
     colors = [i for i, cap in budget.items() if cap]
     keys = [u_key]
@@ -163,19 +167,14 @@ def _extract(
     for k, x in enumerate(ordered):
         local[x] = k
     fwd: list[dict[int, int]] = [{} for _ in ordered]
-    bwd: list[dict[int, int]] = [{} for _ in ordered]
     for b, y in enumerate(ordered):
-        covers = [(local[x], i) for i, x in below[y]]
-        covers.sort()
-        for a, i in covers:
-            fwd[a][i] = b
-            bwd[b][i] = a
+        for i, x in below[y]:
+            fwd[local[x]][i] = b
     return CrystalGraph(
         shape=None,
         n=len(budget) + 1,
         vertices=tuple(tableaux[x] for x in ordered),
         fwd=tuple(fwd),
-        bwd=tuple(bwd),
         rank=tuple(rank[x] for x in ordered),
         minimum=local[0],
         maximum=local[top],
@@ -383,50 +382,54 @@ def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[Saturate
     """The chains of :func:`saturated_chains`, each a prefix from the bottom
     joined to a suffix to the top at the rank ``half`` above the bottom:
     ``span // 2``, or the whole span below 4, where suffix lists cost more
-    than they save.  The prefixes grow up from the bottom rank by rank, and
-    the suffix lists down from the top vertex by vertex in decreasing rank;
-    both extend along the covers in increasing color order, so the joined
-    chains come out in label order.  Every prefix and every suffix extends
-    to a chain (the bottom and top are the unique minimum and maximum), so
-    a list longer than ``cap`` raises :class:`ChainCapError`, and so does a
-    chain count above ``cap``, counted before any chain is built."""
+    than they save.
+
+    First one integer pass in decreasing rank counts the chains from each
+    vertex to the top, and more than ``cap`` chains from the bottom raise
+    :class:`ChainCapError` before any prefix or suffix is built.  Then the
+    prefixes grow up from the bottom rank by rank, and the suffix lists down
+    from the top vertex by vertex in that same decreasing rank order; both
+    extend along the covers in increasing color order, so the joined chains
+    come out in label order."""
     rank = itv.rank
+    order = sorted(range(len(itv)), key=rank.__getitem__, reverse=True)
+    count = [0] * len(itv)  # chains from each vertex to the top
+    for x in order:  # the top is the one vertex without upper covers
+        count[x] = sum(map(count.__getitem__, itv.fwd[x].values())) or 1
+    if count[bottom] > cap:
+        raise ChainCapError(f"chain cap {cap} exceeded")
     up = [sorted(covers.items()) for covers in itv.fwd]  # (color, cover) by color
     span = rank[top] - rank[bottom]
     half = span if span < 4 else span // 2
     prefixes = [((bottom,), ())]
     for _ in range(half):
         prefixes = [((*p, w), (*l, i)) for p, l in prefixes for i, w in up[p[-1]]]
-        if len(prefixes) > cap:
-            raise ChainCapError(f"chain cap {cap} exceeded")
     if half == span:  # every prefix ends at the top
-        if len(prefixes) > cap:  # the one-vertex chain, at span 0
-            raise ChainCapError(f"chain cap {cap} exceeded")
         return [SaturatedChain(p, l) for p, l in prefixes]
     middle = rank[bottom] + half
     suffix: list[list] = [[]] * len(itv)  # x -> (vertices, labels) of each chain x..top
     suffix[top] = [((), ())]
-    for x in sorted(range(len(itv)), key=rank.__getitem__, reverse=True):
+    for x in order:
         if middle <= rank[x] < rank[top]:
             suffix[x] = [((w, *sv), (i, *sl)) for i, w in up[x] for sv, sl in suffix[w]]
-            if len(suffix[x]) > cap:
-                raise ChainCapError(f"chain cap {cap} exceeded")
-    if sum(len(suffix[p[-1]]) for p, _ in prefixes) > cap:
-        raise ChainCapError(f"chain cap {cap} exceeded")
     return [SaturatedChain(p + sv, l + sl) for p, l in prefixes for sv, sl in suffix[p[-1]]]
 
 
 def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[SaturatedChain]:
     """All maximal chains from bottom to top, sorted by labels, with no
     move-class pass: prefixes from the bottom joined to suffixes to the top
-    at the middle rank (see :func:`_chains`).  The chain count is checked
+    at the middle rank (see :func:`_chains`).  The chains are counted
     first, so more than ``cap`` chains raise :class:`ChainCapError` before
-    any chain is built.  A graph without a unique minimum or maximum raises
-    ValueError.
+    any prefix, suffix or chain is built.  A graph without a unique minimum
+    or maximum raises ValueError.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> [c.labels for c in saturated_chains(itv)]
     [(1, 2, 2, 3), (2, 1, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1)]
+    >>> saturated_chains(itv, cap=3)
+    Traceback (most recent call last):
+        ...
+    crystalposets.poset.ChainCapError: chain cap 3 exceeded
     """
     return _chains(itv, *_ends(itv), cap)
 
@@ -631,8 +634,9 @@ def stembridge_components(
     every chain is in it; otherwise each chain walks its class up the
     table, ``c = carry[w][a][c]`` along each of its covers a -> w.  More
     than ``MOVE_CLASS_CAP`` class records raise :class:`ChainCapError`, and
-    so do more than ``cap`` chains, counted before any chain is built.  A
-    graph without a unique minimum or maximum raises ValueError.
+    so do more than ``cap`` chains, counted after the class pass and before
+    any prefix, suffix or chain is built.  A graph without a unique minimum
+    or maximum raises ValueError.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> chains, components = stembridge_components(itv)

@@ -15,11 +15,12 @@ of the canonical JSON so that two runs agree byte for byte.
 
 :func:`run_all` is the driver.  The scenarios that read a generated crystal
 take a lookup ``crystal(shape, n)`` as their first argument, and one run
-passes them all one cached lookup, so it generates each crystal once; s2,
-s3 and s8 likewise share one cached ``interval(u, v, n)`` lookup, so each
-interval, the base interval included, is extracted once per run.  The
-driver also times each scenario call and records it as the certificate's
-``runtime``.
+passes them all one cached lookup, so it generates each crystal once; s1,
+s2, s3 and s8 likewise share one cached ``interval(u, v, n)`` lookup, so
+each interval, the base interval included, is extracted once per run.
+``poset.interval`` serves only as s4's order test and for s10's
+whole-crystal intervals.  :func:`run_all` also times each scenario call
+and records it as the certificate's ``runtime``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ BASE_TOP = ((1, 1, 2, 3), (3, 4, 4))
 # cached lookup to every scenario that reads a generated crystal
 CrystalLookup = Callable[[tuple[int, ...], int], CrystalGraph]
 # interval(u, v, n): poset.free_interval(u, v, n); run_all passes one cached
-# lookup to the scenarios that extract intervals (s2, s3 and s8)
+# lookup to the scenarios that extract intervals (s1, s2, s3 and s8)
 IntervalLookup = Callable[[Tableau, Tableau, int], CrystalGraph | None]
 
 
@@ -100,11 +101,14 @@ def _catalan(k: int) -> int:
 
 # -- scenarios ---------------------------------------------------------------
 
-def s1_base_interval(crystal: CrystalLookup) -> Certificate:
-    """Mobius value 2 on the 12-vertex rank-4 interval of B((4,3),4)."""
+def s1_base_interval(crystal: CrystalLookup, interval: IntervalLookup) -> Certificate:
+    """Mobius value 2 on the 12-vertex rank-4 interval of B((4,3),4).
+
+    The interval comes from the shared ``interval`` lookup; its vertex count
+    is checked against the up-sets of its ends in the generated crystal."""
     graph = crystal((4, 3), 4)
     u, v = graph.index[BASE_BOTTOM], graph.index[BASE_TOP]
-    itv = poset.interval(graph, u, v)
+    itv = interval(BASE_BOTTOM, BASE_TOP, 4)
     chains = poset.saturated_chains(itv)
     expected = {
         "mobius": 2,
@@ -434,9 +438,12 @@ def s8_witness_from_mobius(crystal: CrystalLookup, interval: IntervalLookup) -> 
 
     mu comes from one :func:`poset.mobius_from` pass per source, which walks
     only the source's up-set, and only that up-set is scanned for
-    |mu| >= 2.  The local upper bounds of B((4,3),4) are checked against
-    up-set masks read off one ``poset._down_sets`` pass on the reversed
-    graph (see :func:`_local_top_minimal`), not by two searches per pair."""
+    |mu| >= 2.  Each such interval comes from the shared ``interval``
+    lookup by its end tableaux, so the base interval, which is one of them,
+    is not extracted again.  The local upper bounds of B((4,3),4) are
+    checked against up-set masks read off one ``poset._down_sets`` pass on
+    the reversed graph (see :func:`_local_top_minimal`), not by two
+    searches per pair."""
     big_intervals = 0
     witnesses = 0
     for shape, n in DEFAULT_MATRIX:
@@ -446,7 +453,7 @@ def s8_witness_from_mobius(crystal: CrystalLookup, interval: IntervalLookup) -> 
             for v in upset:
                 if abs(mu[v]) >= 2:
                     big_intervals += 1
-                    itv = poset.interval(graph, u, v)
+                    itv = interval(graph.vertices[u], graph.vertices[v], n)
                     if poset.non_stembridge_witness(itv) is not None:
                         witnesses += 1
 
@@ -528,7 +535,7 @@ def _scenario_thunks(
 ) -> list[tuple[str, Callable, tuple]]:
     """(scenario id, function, arguments) for every scenario of a run."""
     thunks: list[tuple[str, Callable, tuple]] = [
-        ("s1", s1_base_interval, (crystal,)),
+        ("s1", s1_base_interval, (crystal, interval)),
         ("s4", s4_non_lattice, (crystal,)),
         ("s5", s5_disconnected_fiber, (crystal,)),
         ("s8", s8_witness_from_mobius, (crystal, interval)),

@@ -25,7 +25,7 @@ def report(number: int, ok: bool, text: str, seconds: float) -> None:
 
 def test_criterion_1_base_interval_mobius():
     start = time.perf_counter()
-    cert = scenarios.s1_base_interval(generate)
+    cert = scenarios.s1_base_interval(generate, poset.free_interval)
     ok = (
         cert.passed
         and cert.computed["mobius"] == 2

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,24 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_bounded(*argv, memory=1 << 30):
+    """Run ``python -m crystalposets.cli`` in a subprocess whose address
+    space is capped at ``memory`` bytes, so only that child is limited;
+    return its exit code and stderr."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "crystalposets.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=300,
+    )
+    return done.returncode, done.stderr
 
 
 def test_generate_human(capsys):
@@ -109,6 +131,17 @@ def test_chain_components_cap_counts_chains(capsys):
     assert "4 chains in 3 move component(s)" in out
     code, _, err = run(capsys, "chains", *FIG_ARGS, "--components", "--cap", "3")
     assert code == 2 and "chain cap 3 exceeded" in err
+
+
+def test_chain_cap_refuses_within_bounded_memory():
+    # the whole interval of B((5,4),6) has more chains than the default cap;
+    # the count refuses them before any list grows, so 1 GB is plenty
+    code, err = run_bounded(
+        "chains", "--shape", "5,4", "--n", "6",
+        "--u", "1,1,1,1,1/2,2,2,2", "--v", "5,5,5,5,6/6,6,6,6",
+    )
+    assert code == 2
+    assert err == f"error: chain cap {poset.DEFAULT_CHAIN_CAP} exceeded\n"
 
 
 def test_keys(capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from collections.abc import Mapping
 from itertools import combinations
@@ -717,6 +718,25 @@ def test_refused_chain_cap_builds_no_chain(monkeypatch):
     built.clear()
     chains, components = stembridge_components(itv, cap=374)
     assert len(chains) == len(built) == 374 and len(components) == 9
+
+
+@pytest.mark.parametrize("call", [saturated_chains, stembridge_components])
+def test_refused_chain_cap_stays_small(call):
+    # the r = 3 composite: 1,728 vertices and 2,217,600 chains; the count
+    # comes before any prefix or suffix list, so a refusal at either cap
+    # traces well under the 9-17 MiB that growing those lists to the cap
+    # takes
+    itv = free_interval(*scenarios._composite_endpoints(3)[:2], 12)
+    assert len(itv) == 1728
+    for cap in (10**4, 10**5):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChainCapError, match=f"^chain cap {cap} exceeded$"):
+                call(itv, cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 def _split_case(case):

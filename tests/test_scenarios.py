@@ -13,7 +13,7 @@ CERTIFY_DIGEST = "0e303205cd2f69b5c3f7598b9007f6eda9e6085d6e47c803682d2905930f35
 
 
 def test_s1():
-    cert = scenarios.s1_base_interval(generate)
+    cert = scenarios.s1_base_interval(generate, poset.free_interval)
     assert cert.passed
     assert cert.computed["mobius"] == 2
     assert cert.computed["vertices"] == 12
@@ -152,26 +152,35 @@ def test_run_all_generates_each_crystal_once_per_run(monkeypatch):
 
 
 def test_run_all_extracts_each_interval_once_per_run(monkeypatch):
-    # s2, s3 and s8 share one lookup: the composite interval, the base
-    # interval (which is also s2[n=3]) and the two-row intervals of
-    # s2[n=4..6] are extracted once each
-    calls = []
-    extract = poset.free_interval
+    # s1, s2, s3 and s8 share one free_interval lookup: the composite
+    # interval, the base interval (which is also s2[n=3]), s8's other
+    # |mu| >= 2 interval and the two-row intervals of s2[n=4..6] are
+    # extracted once each; poset.interval serves s4's order test and s10's
+    # whole crystals, and never extracts the base pair
+    free, ambient = [], []
+    extract, extract_in = poset.free_interval, poset.interval
 
     def counting(u, v, n):
-        calls.append((u, v, n))
+        free.append((u, v, n))
         return extract(u, v, n)
 
+    def counting_in(graph, u, v):
+        ambient.append((graph.vertices[u], graph.vertices[v], graph.n))
+        return extract_in(graph, u, v)
+
     monkeypatch.setattr(poset, "free_interval", counting)
+    monkeypatch.setattr(poset, "interval", counting_in)
     canonical = scenarios.certificates_to_json(scenarios.run_all(n_max=6))
     assert hashlib.sha256(canonical.encode()).hexdigest() == CERTIFY_DIGEST
     composite = scenarios._composite_endpoints(2)
     base = (scenarios.BASE_BOTTOM, scenarios.BASE_TOP, 4)
+    other = (((1, 1, 2, 4), (2, 3, 4)), ((1, 2, 3, 4), (3, 4, 4)), 4)
     assert base == (*scenarios._two_row_endpoints(3), 4)
-    assert len(calls) == len(set(calls)) == 5 and composite in calls and base in calls
-    calls.clear()
+    assert len(free) == len(set(free)) == 6 and {composite, base, other} <= set(free)
+    assert len(ambient) == 7 and (free + ambient).count(base) == 1
+    free.clear()
     scenarios.run_all(n_max=3, only="s8")  # a second run extracts again
-    assert sorted(calls) == sorted([composite, base])
+    assert sorted(free) == sorted([composite, base, other])
 
 
 def test_run_all_filter():
