@@ -13,6 +13,12 @@ graph on all such tableaux of a fixed shape has a colored edge T -i-> T'
 whenever T' = f_i(T); viewed as a poset it is graded with a unique minimum
 (the superstandard filling) and, being finite, a unique maximum.
 
+Every graph is a :class:`CrystalGraph`, built from its upward covers
+``fwd`` alone.  Each color is a partial bijection (f_i is injective, and
+e_i is its inverse), which the type checks as it derives the downward
+covers ``bwd``, the rank ``layers`` and, when not passed, the tableau
+``index``; no caller passes or guards against anything else.
+
 Graphs are immutable after generation and all queries are pure, so a graph
 may be shared freely across threads.
 """
@@ -21,7 +27,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from typing import Iterable
 
 Shape = tuple[int, ...]
@@ -157,19 +164,26 @@ def apply_f(rows: Tableau, i: int) -> Tableau | None:
 class CrystalGraph:
     """Edge-colored cover graph of a tableau crystal, or of an interval in one.
 
-    Vertices of a generated crystal are indexed in generation (BFS) order,
-    children explored in increasing color order, which makes every export
-    reproducible.  The covers are stored only as forward and backward
-    adjacency per color, so string walks are O(1) per step; ``bwd`` is
-    inverted from ``fwd`` and ``index`` built from the vertices when not
-    passed, as :func:`generate` and interval extraction leave them.  The
+    The color-i covers are the operator f_i, and e_i is its inverse, so
+    every color is a partial bijection: a vertex has at most one color-i
+    cover above it and at most one below it.  ``fwd`` holds the covers
+    above each vertex by color, and the type enforces the invariant: it
+    inverts ``fwd`` into ``bwd``, the covers below, and raises ValueError
+    when two covers of one color enter one vertex.  String walks are then
+    O(1) per step in either direction.  ``layers`` lists the vertices of
+    each rank, each layer in increasing index, for the kernels that pass
+    a summary up or down in rank order.  ``bwd`` and ``layers`` are always
+    derived, never passed; ``index`` is built from the vertices when not
+    passed, as :func:`generate` and interval extraction leave it.  The
     inversion lists each vertex's lower covers by increasing index.  The
     edge list (:attr:`edges`) and the weights are derived.
 
-    An interval [u, v] is a graph whose ``minimum`` and ``maximum`` are u and
-    v.  Its vertices are ordered by (rank, tableau) and ``budget`` holds the
-    color multiset shared by all its maximal chains; the ambient graph's
-    ``index`` maps its tableaux back there.
+    Vertices of a generated crystal are indexed in generation (BFS) order,
+    children explored in increasing color order, which makes every export
+    reproducible.  An interval [u, v] is a graph whose ``minimum`` and
+    ``maximum`` are u and v.  Its vertices are ordered by (rank, tableau)
+    and ``budget`` holds the color multiset shared by all its maximal
+    chains; the ambient graph's ``index`` maps its tableaux back there.
     """
 
     shape: Shape | None
@@ -179,17 +193,23 @@ class CrystalGraph:
     minimum: int | None
     maximum: int | None
     fwd: tuple[dict[int, int], ...] = field(repr=False)
-    bwd: tuple[dict[int, int], ...] = field(default=(), repr=False)
     budget: dict[int, int] | None = None
     index: dict[Tableau, int] = field(default_factory=dict, repr=False)
+    bwd: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    layers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.bwd:
-            bwd: list[dict[int, int]] = [{} for _ in self.vertices]
-            for a, out in enumerate(self.fwd):
-                for i, b in out.items():
-                    bwd[b][i] = a
-            self.bwd = tuple(bwd)
+        bwd: list[dict[int, int]] = [{} for _ in self.vertices]
+        layers: list[list[int]] = [[] for _ in range(max(self.rank, default=0) + 1)]
+        for a, (out, r) in enumerate(zip(self.fwd, self.rank)):
+            layers[r].append(a)  # one int object per vertex, shared with bwd
+            for i, b in out.items():
+                bwd[b][i] = a
+        # a lost entry is a second cover of its color into one vertex
+        if sum(map(len, bwd)) < sum(map(len, self.fwd)):
+            raise ValueError("two covers of one color enter one vertex")
+        self.bwd = tuple(bwd)
+        self.layers = tuple(map(tuple, layers))
         if not self.index:
             self.index = {t: k for k, t in enumerate(self.vertices)}
 
@@ -208,17 +228,15 @@ class CrystalGraph:
     @property
     def span(self) -> int:
         """Length of the longest chain: the largest rank."""
-        return max(self.rank, default=0)
+        return len(self.layers) - 1
 
     def rank_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * (self.span + 1)
-        for r in self.rank:
-            sizes[r] += 1
-        return tuple(sizes)
+        return tuple(map(len, self.layers))
 
     def reverse(self) -> "CrystalGraph":
-        """Dual view: the adjacency swapped and the rank flipped; vertices,
-        adjacency dicts and index are shared with this graph.
+        """Dual view: the adjacency and the layers swapped and the rank
+        flipped; vertices, adjacency dicts, layers and index are shared with
+        this graph, and nothing is inverted again.
 
         The result is again a valid crystal graph (the color relabeling
         that would restore the usual conventions does not matter for any
@@ -226,10 +244,11 @@ class CrystalGraph:
         interval [v, u] of the dual graph.
         """
         span = self.span
-        return replace(
-            self, rank=tuple(span - r for r in self.rank), minimum=self.maximum,
-            maximum=self.minimum, fwd=self.bwd, bwd=self.fwd,
-        )
+        dual = copy(self)
+        dual.rank = tuple(span - r for r in self.rank)
+        dual.minimum, dual.maximum = self.maximum, self.minimum
+        dual.fwd, dual.bwd, dual.layers = self.bwd, self.fwd, self.layers[::-1]
+        return dual
 
 
 def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> CrystalGraph:
@@ -355,45 +374,39 @@ def _closure(
     return (z, x1, x2, x3, x4), (z, y1, y2, y3, x4)
 
 
-_UNSEEN, _ON_PATH = object(), object()
-
-
-def _walk_lengths(adj: tuple[dict[int, int], ...], i: int, step: int) -> list[int | None]:
+def _walk_lengths(
+    adj: tuple[dict[int, int], ...], back: tuple[dict[int, int], ...], i: int, step: int
+) -> list[int | None]:
     """``step`` times the number of color-i moves along ``adj`` from every
     vertex before the walk stops; None where it never stops.
 
-    Each vertex is entered once: a walk stops early at a vertex already
-    measured, and meeting a vertex of the current walk again closes a
-    circuit.  Memoizing per vertex, not per string, keeps this exact when
-    ``adj`` has two color-i arrows into one vertex.
+    As color i is a partial bijection, each vertex lies on one string: a
+    path, or a circuit.  Each path is walked once along ``back``, from its
+    end (the vertex with no color-i cover in ``adj``), and a vertex left at
+    None lies on a circuit.
     """
-    out: list = [_UNSEEN] * len(adj)
-    for v in range(len(adj)):
-        path = []
-        cur: int | None = v
-        while cur is not None and out[cur] is _UNSEEN:
-            out[cur] = _ON_PATH
-            path.append(cur)
-            cur = adj[cur].get(i)
-        tail = -step if cur is None else out[cur]
-        if tail is _ON_PATH:
-            tail = None
-        for u in reversed(path):
-            if tail is not None:
-                tail += step
-            out[u] = tail
+    out: list[int | None] = [None] * len(adj)
+    for end, covers in enumerate(adj):
+        if i not in covers:
+            length, cur = 0, end
+            while cur is not None:
+                out[cur] = length
+                length += step
+                cur = back[cur].get(i)
     return out
 
 
 def string_table(graph: CrystalGraph) -> tuple[dict[int, list], dict[int, list]]:
     """``rise, depth``: ``rise[i][v]`` is the number of color-i steps up
     from v to the end of its string, and ``depth[i][v]`` minus the number of
-    steps down, for every vertex and color, from one memoized pass per color
-    and direction: O(V*C) steps in all.  An entry is None where the walk
-    never ends (a monochromatic circuit).
+    steps down, for every vertex and color, from one pass per color and
+    direction that walks each string once from its end: O(V*C) steps in
+    all.  An entry is None where the walk never ends (a monochromatic
+    circuit); as every color is a partial bijection, that is the same
+    vertices in both directions.
     """
-    rise = {i: _walk_lengths(graph.fwd, i, 1) for i in graph.colors}
-    depth = {i: _walk_lengths(graph.bwd, i, -1) for i in graph.colors}
+    rise = {i: _walk_lengths(graph.fwd, graph.bwd, i, 1) for i in graph.colors}
+    depth = {i: _walk_lengths(graph.bwd, graph.fwd, i, -1) for i in graph.colors}
     return rise, depth
 
 
@@ -402,10 +415,13 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
     statistics at every vertex/color pair, from graph walks alone (no
     tableau formulas), so imported graphs can be audited too.
 
-    String lengths come from :func:`string_table`.  The checks run vertex
-    by vertex over its lower covers in increasing color: P3 and P4 for each
-    cover, then P5 and P6 for each ordered pair of covers; the first
-    violation is returned.
+    String lengths come from :func:`string_table`.  A monochromatic
+    circuit fails P1 first, at its first vertex, then color; as every color
+    is a partial bijection, a circuit forward is one backward too, so no
+    other walk can fail to end.  The checks then run vertex by vertex over
+    its lower covers in increasing color: P3 and P4 for each cover, then P5
+    and P6 for each ordered pair of covers; the first violation is
+    returned.
     """
     colors = list(graph.colors)
     rise, depth = string_table(graph)
@@ -416,30 +432,17 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
     if circuits:
         v, i = min(circuits)
         return AxiomReport(False, "P1", v, i, None, "monochromatic circuit")
-    # a graph built with inconsistent fwd/bwd can still loop backward;
-    # report such a vertex where its depth is first needed
-    endless: dict[int, int] = {}
-    for i in reversed(colors):
-        if None in depth[i]:
-            endless.update((v, i) for v, d in enumerate(depth[i]) if d is None)
-
-    def circuit(v: int) -> AxiomReport:
-        return AxiomReport(False, "P1", v, endless[v], None, "monochromatic circuit")
 
     # per color i, the string columns and a_ij of every color j
     rows = {i: [(j, depth[j], rise[j], cartan_entry(i, j)) for j in colors] for i in colors}
     fwd, bwd, n = graph.fwd, graph.bwd, graph.n
     for b in range(len(graph.vertices)):
-        if b in endless:
-            return circuit(b)
         below = sorted(bwd[b].items())
         if below and not (0 < below[0][0] and below[-1][0] < n):
             # a graph built directly may hold colors outside 1..n-1; they
             # have no strings, and are ignored as in the string table
             below = [(i, a) for i, a in below if 0 < i < n]
         for i, bp in below:
-            if bp in endless:
-                return circuit(bp)
             for j, dj, rj, a in rows[i]:
                 dd = dj[bp] - dj[b]
                 de = rj[bp] - rj[b]
@@ -500,12 +503,13 @@ def local_structure(graph: CrystalGraph, u: int, i: int, j: int) -> LocalStructu
     if sides is None:
         raise ValueError(f"no degree 2 or 4 closure above vertex {u} for colors ({i}, {j})")
     if len(sides[0]) == 5:
-        (_, v, _, v3, _), (_, w, _, w3, _) = sides
-        # by weights, a shorter closure over v and w could only sit two steps
-        # up, reached by {i, j} from one side and f_i f_i w or f_j f_j v
-        for side, repeated in ((v, w3), (w, v3)):
-            if repeated in {apply_word(graph, side, word) for word in ((i, j), (j, i))}:
-                raise ValueError(f"closure of length 2 coexists with degree-4 data at {u}")
+        (*_, v3, _), (*_, w3, _) = sides
+        # by weights, a shorter closure over f_i u and f_j u could only sit
+        # two steps up, at w3 = f_j f_i f_i u or v3 = f_i f_j f_j u; the
+        # words f_i f_j f_i u = w3 and f_j f_i f_j u = v3 would close the
+        # square, as f_i and f_j are injective
+        if apply_word(graph, u, (i, i, j)) == w3 or apply_word(graph, u, (j, j, i)) == v3:
+            raise ValueError(f"closure of length 2 coexists with degree-4 data at {u}")
     return LocalStructure(len(sides[0]) - 1, sides[0][-1], sides)
 
 
@@ -529,8 +533,9 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     Intended for auditing externally produced graphs: numbers other than
     JSON integers (floats, strings, booleans), an n outside
     1..``DEFAULT_VERTEX_CAP``, an invalid shape or a tableau not of that
-    shape, repeated tableaux, duplicate or parallel edges and broken
-    gradedness are rejected; anything deeper is the axiom checker's job.
+    shape, repeated tableaux, duplicate or parallel edges, broken
+    gradedness and (by :class:`CrystalGraph`) two covers of one color into
+    one vertex are rejected; anything deeper is the axiom checker's job.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -558,22 +563,21 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     if len(set(vertices)) != nv:
         raise ValueError("a tableau is repeated among the vertices")
     fwd: list[dict[int, int]] = [{} for _ in range(nv)]
-    bwd: list[dict[int, int]] = [{} for _ in range(nv)]
+    indeg = [0] * nv
     for a, b, i in raw_edges:
         if not (0 <= a < nv and 0 <= b < nv and 1 <= i <= n - 1):
             raise ValueError(f"edge ({a}, {b}, {i}) out of range")
-        if i in fwd[a] or i in bwd[b]:
+        if i in fwd[a]:
             raise ValueError(f"duplicate color-{i} edge at ({a}, {b})")
         if b in fwd[a].values():  # f_i(a) and f_j(a) differ in weight
             raise ValueError(f"parallel edges from {a} to {b}")
         fwd[a][i] = b
-        bwd[b][i] = a
+        indeg[b] += 1
 
-    sources = [v for v in range(nv) if not bwd[v]]
+    sources = [v for v in range(nv) if not indeg[v]]
     sinks = [v for v in range(nv) if not fwd[v]]
     rank = [-1] * nv
     order: list[int] = list(sources)
-    indeg = [len(bwd[v]) for v in range(nv)]
     for v in sources:
         rank[v] = 0
     head = 0
@@ -596,7 +600,6 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
         n=n,
         vertices=vertices,
         fwd=tuple(fwd),
-        bwd=tuple(bwd),
         rank=tuple(rank),
         minimum=sources[0] if len(sources) == 1 else None,
         maximum=sinks[0] if len(sinks) == 1 else None,

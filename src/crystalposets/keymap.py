@@ -54,7 +54,8 @@ class FiberStructureError(RuntimeError):
 
 
 def compute_keys(graph: CrystalGraph) -> KeyTable:
-    """Fill the key table in rank order by the five structural rules.
+    """Fill the key table by the five structural rules, layer by layer
+    up ``graph.layers``, with no sort.
 
     >>> from .crystal import generate
     >>> table = compute_keys(generate((2, 1), 3))
@@ -66,24 +67,25 @@ def compute_keys(graph: CrystalGraph) -> KeyTable:
     ident = weyl.identity(n)
     keys: list[Permutation | None] = [None] * len(graph)
     joins: dict[frozenset[Permutation], Permutation] = {}  # lower keys -> their join
-    for v in sorted(range(len(graph)), key=lambda v: graph.rank[v]):
-        below = sorted(graph.bwd[v].items())  # (color, lower vertex)
-        if not below:
-            keys[v] = ident
-        elif graph.rank[v] == 1:
-            i, _ = below[0]
-            keys[v] = weyl.left_multiply(i, ident)
-        elif len(below) >= 2:
-            lower = frozenset(keys[u] for _, u in below)
-            if (joined := joins.get(lower)) is None:
-                joined = joins[lower] = weyl.left_weak_join(lower)
-            keys[v] = joined
-        else:
-            i, u = below[0]
-            if graph.bwd[u].get(i) is not None:
-                keys[v] = keys[u]
+    for layer in graph.layers:
+        for v in layer:
+            below = sorted(graph.bwd[v].items())  # (color, lower vertex)
+            if not below:
+                keys[v] = ident
+            elif graph.rank[v] == 1:
+                i, _ = below[0]
+                keys[v] = weyl.left_multiply(i, ident)
+            elif len(below) >= 2:
+                lower = frozenset(keys[u] for _, u in below)
+                if (joined := joins.get(lower)) is None:
+                    joined = joins[lower] = weyl.left_weak_join(lower)
+                keys[v] = joined
             else:
-                keys[v] = weyl.left_multiply(i, keys[u])
+                i, u = below[0]
+                if graph.bwd[u].get(i) is not None:
+                    keys[v] = keys[u]
+                else:
+                    keys[v] = weyl.left_multiply(i, keys[u])
     return KeyTable(n=n, keys=tuple(keys))
 
 

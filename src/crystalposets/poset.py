@@ -302,8 +302,10 @@ def lower_mobius_all(graph: CrystalGraph) -> list[int]:
 def _down_sets(graph: CrystalGraph, members: Sequence[int]) -> list[int]:
     """For each member, the bitmask of the members weakly below it (bit k
     for ``members[k]``), by one pass up from the members, rank by rank, that
-    stops at the highest member's rank.  More than ``DOWN_SET_BIT_CAP`` bits
-    (vertices reached times members) raise :class:`GraphSizeError`."""
+    stops at the highest member's rank.  It buckets its own layers rather
+    than read ``graph.layers``, since it walks only the vertices that its
+    members reach.  More than ``DOWN_SET_BIT_CAP`` bits (vertices reached
+    times members) raise :class:`GraphSizeError`."""
     mask = {v: 1 << k for k, v in enumerate(members)}
     top = max((graph.rank[v] for v in mask), default=-1)
     layers: list[list[int]] = [[] for _ in range(top + 1)]
@@ -384,18 +386,18 @@ def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[Saturate
     ``span // 2``, or the whole span below 4, where suffix lists cost more
     than they save.
 
-    First one integer pass in decreasing rank counts the chains from each
-    vertex to the top, and more than ``cap`` chains from the bottom raise
-    :class:`ChainCapError` before any prefix or suffix is built.  Then the
-    prefixes grow up from the bottom rank by rank, and the suffix lists down
-    from the top vertex by vertex in that same decreasing rank order; both
-    extend along the covers in increasing color order, so the joined chains
-    come out in label order."""
+    First one integer pass down the interval's ``layers`` (no sort) counts
+    the chains from each vertex to the top, and more than ``cap`` chains
+    from the bottom raise :class:`ChainCapError` before any prefix or
+    suffix is built.  Then the prefixes grow up from the bottom rank by
+    rank, and the suffix lists down the layers from just below the top to
+    the middle rank; both extend along the covers in increasing color
+    order, so the joined chains come out in label order."""
     rank = itv.rank
-    order = sorted(range(len(itv)), key=rank.__getitem__, reverse=True)
     count = [0] * len(itv)  # chains from each vertex to the top
-    for x in order:  # the top is the one vertex without upper covers
-        count[x] = sum(map(count.__getitem__, itv.fwd[x].values())) or 1
+    for layer in reversed(itv.layers):  # the top is the one vertex without upper covers
+        for x in layer:
+            count[x] = sum(map(count.__getitem__, itv.fwd[x].values())) or 1
     if count[bottom] > cap:
         raise ChainCapError(f"chain cap {cap} exceeded")
     up = [sorted(covers.items()) for covers in itv.fwd]  # (color, cover) by color
@@ -409,8 +411,8 @@ def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[Saturate
     middle = rank[bottom] + half
     suffix: list[list] = [[]] * len(itv)  # x -> (vertices, labels) of each chain x..top
     suffix[top] = [((), ())]
-    for x in order:
-        if middle <= rank[x] < rank[top]:
+    for layer in reversed(itv.layers[middle : rank[top]]):
+        for x in layer:
             suffix[x] = [((w, *sv), (i, *sl)) for i, w in up[x] for sv, sl in suffix[w]]
     return [SaturatedChain(p + sv, l + sl) for p, l in prefixes for sv, sl in suffix[p[-1]]]
 
@@ -437,7 +439,8 @@ def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[Sa
 def _move_classes(
     graph: CrystalGraph, source: int
 ) -> tuple[list[int], list[dict[int, list[int]]]]:
-    """The class table of the rank-order move-class pass.
+    """The class table of the rank-order move-class pass, which walks
+    ``graph.layers`` up from the rank above the source, with no sort.
 
     ``count[z]`` is the number of move classes of the saturated chains from
     ``source`` to z (0 where z is not above source).  ``carry[z][a][j]`` is
@@ -469,79 +472,77 @@ def _move_classes(
     carry: list[dict[int, list[int]]] = [{} for _ in range(len(graph))]
     count[source] = 1
     records = 1
-    floor = graph.rank[source]
-    for z in sorted(range(len(graph)), key=graph.rank.__getitem__):
-        if graph.rank[z] <= floor:
-            continue
-        offset: dict[int, int] = {}  # lower cover -> its first record at z
-        total = 0
-        for a in bwd[z].values():
-            if count[a]:
-                offset[a] = total
-                total += count[a]
-        if not total:
-            continue
-        records += total
-        if records > MOVE_CLASS_CAP:
-            raise ChainCapError(f"move-class record cap {MOVE_CLASS_CAP} exceeded")
-        if len(offset) == 1:  # no square or hexagon tops z
-            carry[z] = {a: list(range(total)) for a in offset}
-            count[z] = total
-            continue
-        if total == len(offset):  # one class at each lower cover
-            group = list(range(total))  # cover position -> its group
-            groups = total
+    for layer in graph.layers[graph.rank[source] + 1 :]:
+        for z in layer:
+            offset: dict[int, int] = {}  # lower cover -> its first record at z
+            total = 0
+            for a in bwd[z].values():
+                if count[a]:
+                    offset[a] = total
+                    total += count[a]
+            if not total:
+                continue
+            records += total
+            if records > MOVE_CLASS_CAP:
+                raise ChainCapError(f"move-class record cap {MOVE_CLASS_CAP} exceeded")
+            if len(offset) == 1:  # no square or hexagon tops z
+                carry[z] = {a: list(range(total)) for a in offset}
+                count[z] = total
+                continue
+            if total == len(offset):  # one class at each lower cover
+                group = list(range(total))  # cover position -> its group
+                groups = total
+                for i, j in combinations(bwd[z], 2):
+                    # the square if it closes, else the hexagon (see above)
+                    sides = _closure(bwd, z, i, j, 2) or _closure(bwd, z, i, j, 4)
+                    if sides is not None and count[sides[0][-1]]:
+                        g1, g2 = group[offset[sides[0][1]]], group[offset[sides[1][1]]]
+                        if g1 != g2:
+                            group = [g1 if g == g2 else g for g in group]
+                            groups -= 1
+                            if groups == 1:
+                                break  # no later pair can merge more
+                label = {}  # group -> class id at z, numbered in cover order
+                carry[z] = {a: [label.setdefault(group[k], len(label))] for a, k in offset.items()}
+                count[z] = groups
+                continue
+            parent = list(range(total))
+
+            def find(r: int) -> int:
+                while parent[r] != r:
+                    parent[r] = parent[parent[r]]
+                    r = parent[r]
+                return r
+
+            def merge(first: list[int], second: list[int]) -> None:
+                for r1, r2 in zip(first, second):
+                    r1, r2 = find(r1), find(r2)
+                    if r1 != r2:
+                        parent[max(r1, r2)] = min(r1, r2)
+
             for i, j in combinations(bwd[z], 2):
-                # the square if it closes, else the hexagon (see above)
-                sides = _closure(bwd, z, i, j, 2) or _closure(bwd, z, i, j, 4)
-                if sides is not None and count[sides[0][-1]]:
-                    g1, g2 = group[offset[sides[0][1]]], group[offset[sides[1][1]]]
-                    if g1 != g2:
-                        group = [g1 if g == g2 else g for g in group]
-                        groups -= 1
-                        if groups == 1:
-                            break  # no later pair can merge more
-            label = {}  # group -> class id at z, numbered in cover order
-            carry[z] = {a: [label.setdefault(group[k], len(label))] for a, k in offset.items()}
-            count[z] = groups
-            continue
-        parent = list(range(total))
-
-        def find(r: int) -> int:
-            while parent[r] != r:
-                parent[r] = parent[parent[r]]
-                r = parent[r]
-            return r
-
-        def merge(first: list[int], second: list[int]) -> None:
-            for r1, r2 in zip(first, second):
-                r1, r2 = find(r1), find(r2)
-                if r1 != r2:
-                    parent[max(r1, r2)] = min(r1, r2)
-
-        for i, j in combinations(bwd[z], 2):
-            square = _closure(bwd, z, i, j, 2)
-            if square is not None:
-                if count[square[0][2]]:
-                    (_, x1, x), (_, y1, _) = square
+                square = _closure(bwd, z, i, j, 2)
+                if square is not None:
+                    if count[square[0][2]]:
+                        (_, x1, x), (_, y1, _) = square
+                        merge(
+                            [offset[x1] + c for c in carry[x1][x]],
+                            [offset[y1] + c for c in carry[y1][x]],
+                        )
+                    continue  # the pair's hexagon adds nothing (see above)
+                hexagon = _closure(bwd, z, i, j, 4)
+                if hexagon is not None and count[hexagon[0][4]]:
+                    (_, x1, x2, x3, s), (_, y1, y2, y3, _) = hexagon
                     merge(
-                        [offset[x1] + c for c in carry[x1][x]],
-                        [offset[y1] + c for c in carry[y1][x]],
+                        [offset[x1] + carry[x1][x2][carry[x2][x3][c]] for c in carry[x3][s]],
+                        [offset[y1] + carry[y1][y2][carry[y2][y3][c]] for c in carry[y3][s]],
                     )
-                continue  # the pair's hexagon adds nothing (see above)
-            hexagon = _closure(bwd, z, i, j, 4)
-            if hexagon is not None and count[hexagon[0][4]]:
-                (_, x1, x2, x3, s), (_, y1, y2, y3, _) = hexagon
-                merge(
-                    [offset[x1] + carry[x1][x2][carry[x2][x3][c]] for c in carry[x3][s]],
-                    [offset[y1] + carry[y1][y2][carry[y2][y3][c]] for c in carry[y3][s]],
-                )
-        label: dict[int, int] = {}  # root record -> class id at z
-        for a, base in offset.items():
-            carry[z][a] = [
-                label.setdefault(find(base + c), len(label)) for c in range(count[a])
-            ]
-        count[z] = len(label)
+            label: dict[int, int] = {}  # root record -> class id at z
+            for a, base in offset.items():
+                carry[z][a] = [
+                    label.setdefault(find(base + c), len(label)) for c in range(count[a])
+                ]
+            count[z] = len(label)
     return count, carry
 
 
@@ -567,11 +568,11 @@ def _class_summaries(
     no such chain exists.  Both read the class table of
     :func:`_move_classes` from the bottom, so callers never index it.
 
-    One more pass in rank order: a class at z gathers the classes j at
-    each lower cover a that ``carry[z][a]`` sends to it, adding their chain
-    counts and taking the least of their least labels, each extended by the
-    color of a -> z.  Label sequences to z all have one length, so that
-    extension keeps the order.  More than ``cap`` chains raise
+    One more pass up the layers above the bottom, with no sort: a class
+    at z gathers the classes j at each lower cover a that ``carry[z][a]``
+    sends to it, adding their chain counts and taking the least of their
+    least labels, each extended by the color of a -> z.  Label sequences
+    to z all have one length, so that extension keeps the order.  More than ``cap`` chains raise
     :class:`ChainCapError`, and a graph without a unique minimum or maximum
     raises ValueError.
     """
@@ -579,17 +580,16 @@ def _class_summaries(
     count, carry = _move_classes(itv, bottom)
     summary: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(itv))]
     summary[bottom] = [(1, ())]
-    for z in sorted(range(len(itv)), key=itv.rank.__getitem__):
-        if z == bottom:
-            continue
-        sizes = [0] * count[z]
-        least: list = [None] * count[z]  # (labels to a, color of a -> z)
-        for i, a in itv.bwd[z].items():
-            for (size, labels), k in zip(summary[a], carry[z][a]):
-                sizes[k] += size
-                if least[k] is None or (labels, i) < least[k]:
-                    least[k] = (labels, i)
-        summary[z] = [(size, (*labels, i)) for size, (labels, i) in zip(sizes, least)]
+    for layer in itv.layers[itv.rank[bottom] + 1 :]:
+        for z in layer:
+            sizes = [0] * count[z]
+            least: list = [None] * count[z]  # (labels to a, color of a -> z)
+            for i, a in itv.bwd[z].items():
+                for (size, labels), k in zip(summary[a], carry[z][a]):
+                    sizes[k] += size
+                    if least[k] is None or (labels, i) < least[k]:
+                        least[k] = (labels, i)
+            summary[z] = [(size, (*labels, i)) for size, (labels, i) in zip(sizes, least)]
     if sum(size for size, _ in summary[top]) > cap:
         raise ChainCapError(f"chain cap {cap} exceeded")
 
@@ -709,18 +709,19 @@ def non_stembridge_witness(itv: CrystalGraph) -> Witness | None:
     or degree-4 configuration :func:`local_structure` finds over the pair
     (by convexity, the same inside the interval as in the ambient graph).
     """
-    for base in sorted(range(len(itv)), key=lambda z: (itv.rank[z], z)):
-        for i, j in combinations(sorted(itv.fwd[base]), 2):
-            b, c = itv.fwd[base][i], itv.fwd[base][j]
-            mubs = minimal_upper_bounds(itv, b, c)
-            if len(mubs) >= 2:
-                return Witness("non_unique", base, b, c, tuple(mubs))
-            try:
-                local = not mubs or local_structure(itv, base, i, j).top == mubs[0]
-            except ValueError:  # neither configuration closes
-                local = False
-            if not local:
-                return Witness("nonlocal", base, b, c, tuple(mubs))
+    for layer in itv.layers:  # bases in (rank, index) order
+        for base in layer:
+            for i, j in combinations(sorted(itv.fwd[base]), 2):
+                b, c = itv.fwd[base][i], itv.fwd[base][j]
+                mubs = minimal_upper_bounds(itv, b, c)
+                if len(mubs) >= 2:
+                    return Witness("non_unique", base, b, c, tuple(mubs))
+                try:
+                    local = not mubs or local_structure(itv, base, i, j).top == mubs[0]
+                except ValueError:  # neither configuration closes
+                    local = False
+                if not local:
+                    return Witness("nonlocal", base, b, c, tuple(mubs))
     return None
 
 

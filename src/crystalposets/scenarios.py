@@ -18,9 +18,10 @@ take a lookup ``crystal(shape, n)`` as their first argument, and one run
 passes them all one cached lookup, so it generates each crystal once; s1,
 s2, s3 and s8 likewise share one cached ``interval(u, v, n)`` lookup, so
 each interval, the base interval included, is extracted once per run.
-``poset.interval`` serves only as s4's order test and for s10's
-whole-crystal intervals.  :func:`run_all` also times each scenario call
-and records it as the certificate's ``runtime``.
+``poset.interval`` serves only as s4's order test; s10's Euler
+cross-check reads each whole crystal as it is.  :func:`run_all` also
+times each scenario call and records it as the certificate's
+``runtime``.
 """
 
 from __future__ import annotations
@@ -512,7 +513,7 @@ def s10_staircase_sphere(crystal: CrystalLookup) -> Certificate:
         expected[tag] = target
         mu = poset.lower_mobius_all(graph)[graph.maximum]
         # inline oracle: the chain-counting Euler characteristic must agree
-        euler = poset.euler_mobius(poset.interval(graph, graph.minimum, graph.maximum))
+        euler = poset.euler_mobius(graph)
         computed[tag] = mu if mu == euler else f"mu={mu} euler={euler}"
     return _certify(
         "s10",

@@ -24,6 +24,7 @@ from crystalposets.crystal import (
     string_table,
     weight,
 )
+from crystalposets.poset import interval
 
 RUNNING_EXAMPLE = ((1, 2, 2, 2, 2, 3), (3, 3, 4))
 
@@ -345,27 +346,35 @@ def test_axioms_match_oracle_on_matrix(graphs):
 
 
 def _direct_graph(edges, n=3):
-    """A CrystalGraph built without the JSON import's checks; later edges
-    overwrite earlier ones of the same color at the same end."""
+    """A CrystalGraph built without the JSON import's checks; a later edge
+    overwrites an earlier one of the same color out of the same vertex."""
     size = 1 + max(max(a, b) for a, b, _ in edges)
     fwd = [{} for _ in range(size)]
-    bwd = [{} for _ in range(size)]
     for a, b, i in edges:
         fwd[a][i] = b
-        bwd[b][i] = a
     return CrystalGraph(
         shape=None, n=n, vertices=tuple(((k + 1,),) for k in range(size)),
-        fwd=tuple(fwd), bwd=tuple(bwd), rank=(0,) * size, minimum=0, maximum=None,
+        fwd=tuple(fwd), rank=(0,) * size, minimum=0, maximum=None,
     )
 
 
+def test_a_second_cover_of_one_color_into_a_vertex_is_rejected(g21):
+    # every color is a partial bijection: f_i is injective
+    two = "^two covers of one color enter one vertex$"
+    with pytest.raises(ValueError, match=two):
+        _direct_graph([(0, 2, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match=two):
+        _direct_graph([*g21.edges, (8, 7, 1)])
+    # covers of two colors into one vertex are fine
+    assert _direct_graph([(0, 2, 1), (1, 2, 2)]).bwd[2] == {1: 0, 2: 1}
+
+
 def test_axioms_report_circuits_like_the_oracle():
-    # a color-1 circuit 1 -> 2 -> 1 entered from 0; bwd records only the
-    # last color-1 edge into 1, so the two directions disagree
-    g = _direct_graph([(0, 1, 1), (1, 2, 1), (2, 1, 1), (0, 3, 2)])
+    # a color-1 circuit 1 -> 2 -> 1 entered from 0 by color 2
+    g = _direct_graph([(0, 1, 2), (1, 2, 1), (2, 1, 1)])
     report = check_stembridge_axioms(g)
     assert report == oracles.brute_stembridge_axioms(g)
-    assert (report.axiom, report.vertex, report.i) == ("P1", 0, 1)
+    assert (report.axiom, report.vertex, report.i) == ("P1", 1, 1)
     # the witness is the first vertex whose walk does not end, then the
     # first such color: vertex 1 before vertex 2, color 1 before color 2
     for edges, witness in (
@@ -422,21 +431,19 @@ def test_axioms_ignore_colors_outside_the_range(g21):
     assert check_stembridge_axioms(g) == oracles.brute_stembridge_axioms(g) == AxiomReport(True)
 
 
-def test_axioms_stop_on_backward_only_circuit():
-    # forward walks end (fwd[1][1] is overwritten by the edge to 2) but the
-    # backward walk from 0 loops 0 -> 1 -> 0; the oracle never returns here
-    g = _direct_graph([(0, 1, 1), (1, 0, 1), (1, 2, 1)])
-    assert g.fwd[1] == {1: 2} and g.bwd[0] == {1: 1} and g.bwd[1] == {1: 0}
-    report = check_stembridge_axioms(g)
-    assert (report.passed, report.axiom, report.vertex, report.i) == (False, "P1", 0, 1)
-
-
-def test_string_table_matches_string_stats(g32):
-    for g in (g32, g32.reverse()):
+def test_string_table_matches_string_stats(graphs):
+    for g in [h for g in graphs.values() for h in (g, g.reverse())]:
         rise, depth = string_table(g)
         for v in range(len(g)):
             for i in g.colors:
                 assert oracles.string_stats(g, v, i) == oracles.StringStats(rise[i][v], depth[i][v])
+    # a consistent color-1 circuit 1 -> 2 -> 3 -> 1 beside the string 0 -> 4
+    # and a color-2 string 0 -> 1 -> 5: no walk on the circuit ends, in
+    # either direction, and every other walk does
+    g = _direct_graph([(0, 4, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (0, 1, 2), (1, 5, 2)])
+    rise, depth = string_table(g)
+    assert rise[1] == [1, None, None, None, 0, 0] and depth[1] == [0, None, None, None, -1, 0]
+    assert rise[2] == [2, 1, 0, 0, 0, 0] and depth[2] == [0, -1, 0, 0, 0, -2]
 
 
 def test_local_structure_base_vertex(g43):
@@ -478,11 +485,16 @@ def test_local_structure_names_what_fails_to_close(g21):
     no_closure = r"^no degree 2 or 4 closure above vertex 0 for colors \(1, 2\)$"
     with pytest.raises(ValueError, match=no_closure):
         local_structure(cut, 0, 1, 2)
-    # f_1 f_2 f_1 u = f_1 f_1 f_2 u, or f_2 f_1 f_2 u = f_2 f_2 f_1 u: the
-    # covers f_1 u and f_2 u also close two steps up
-    coexists = "^closure of length 2 coexists with degree-4 data at 0$"
+    # f_1 f_2 f_1 u = f_1 f_1 f_2 u, or f_2 f_1 f_2 u = f_2 f_2 f_1 u, would
+    # need a second cover of one color into 6 or into 5, which no graph holds
     for extra in ((3, 6, 1), (4, 5, 2)):
-        g = _direct_graph([*g21.edges, extra])
+        with pytest.raises(ValueError, match="^two covers of one color enter one vertex$"):
+            _direct_graph([*g21.edges, extra])
+    # f_2 f_1 f_1 u = f_1 f_1 f_2 u, or f_1 f_2 f_2 u = f_2 f_2 f_1 u, through
+    # a new vertex 8: the covers f_1 u and f_2 u also close two steps up
+    coexists = "^closure of length 2 coexists with degree-4 data at 0$"
+    for extra in (((1, 8, 1), (8, 6, 2)), ((2, 8, 2), (8, 5, 1))):
+        g = _direct_graph([*g21.edges, *extra])
         for i, j in ((1, 2), (2, 1)):
             with pytest.raises(ValueError, match=coexists):
                 local_structure(g, 0, i, j)
@@ -515,6 +527,10 @@ def test_json_import_rejects_duplicates_and_cycles(g21):
     parallel = {**bad, "n": 3, "edges": [[0, 1, 1], [0, 1, 2]]}
     with pytest.raises(ValueError, match="^parallel edges from 0 to 1$"):
         graph_from_json(parallel)
+    # two color-1 covers into one vertex: f_1 is injective
+    into = {**bad, "vertices": [[[1]], [[2]], [[3]]], "n": 3, "edges": [[0, 2, 1], [1, 2, 1]]}
+    with pytest.raises(ValueError, match="^two covers of one color enter one vertex$"):
+        graph_from_json(into)
     cyclic = {
         "shape": [1],
         "n": 3,
@@ -644,10 +660,35 @@ def test_reverse_view(g32):
     span = max(g32.rank)
     assert all(rev.rank[v] == span - g32.rank[v] for v in range(len(g32)))
     assert rev.reverse().edges == g32.edges
-    # the covers are stored once: the dual shares them, and the index
+    # the covers are stored once: the dual shares them, its layers and the index
     assert rev.fwd is g32.bwd and rev.bwd is g32.fwd and rev.index is g32.index
-    names = {f.name for f in dataclasses.fields(CrystalGraph)}
-    assert names.isdisjoint({"edges", "weights", "graph_indices"})
+    assert all(a is b for a, b in zip(rev.layers, reversed(g32.layers)))
+    assert len(rev.layers) == len(g32.layers)
+    fields = {f.name: f for f in dataclasses.fields(CrystalGraph)}
+    assert set(fields).isdisjoint({"edges", "weights", "graph_indices"})
+    assert not fields["bwd"].init and not fields["layers"].init
+
+
+def _layers_by_sort(g):
+    """The (rank, index) sort of the vertices, grouped by rank."""
+    layers = [[] for _ in range(max(g.rank) + 1)]
+    for v in sorted(range(len(g)), key=lambda v: (g.rank[v], v)):
+        layers[g.rank[v]].append(v)
+    return tuple(map(tuple, layers))
+
+
+def test_layers_are_the_rank_order(graphs, g32):
+    for g in graphs.values():
+        for h in (g, g.reverse()):
+            assert h.layers == _layers_by_sort(h)
+            assert h.rank_sizes() == tuple(map(len, h.layers))
+            assert h.span == len(h.layers) - 1
+    g = graphs[((4, 3), 4)]
+    for u, v in oracles.comparable_pairs_sample(g, 10, seed=25):
+        itv = interval(g, u, v)
+        assert itv.layers == _layers_by_sort(itv)
+    back = graph_from_json(json.loads(json.dumps(graph_to_json(g32))))
+    assert back.layers == _layers_by_sort(back) == g32.layers
 
 
 def test_cartan_entries():

@@ -155,8 +155,8 @@ def test_run_all_extracts_each_interval_once_per_run(monkeypatch):
     # s1, s2, s3 and s8 share one free_interval lookup: the composite
     # interval, the base interval (which is also s2[n=3]), s8's other
     # |mu| >= 2 interval and the two-row intervals of s2[n=4..6] are
-    # extracted once each; poset.interval serves s4's order test and s10's
-    # whole crystals, and never extracts the base pair
+    # extracted once each; poset.interval serves only s4's order test (s10
+    # reads its whole crystals as they are), and never extracts the base pair
     free, ambient = [], []
     extract, extract_in = poset.free_interval, poset.interval
 
@@ -177,7 +177,7 @@ def test_run_all_extracts_each_interval_once_per_run(monkeypatch):
     other = (((1, 1, 2, 4), (2, 3, 4)), ((1, 2, 3, 4), (3, 4, 4)), 4)
     assert base == (*scenarios._two_row_endpoints(3), 4)
     assert len(free) == len(set(free)) == 6 and {composite, base, other} <= set(free)
-    assert len(ambient) == 7 and (free + ambient).count(base) == 1
+    assert len(ambient) == 2 and (free + ambient).count(base) == 1
     free.clear()
     scenarios.run_all(n_max=3, only="s8")  # a second run extracts again
     assert sorted(free) == sorted([composite, base, other])
