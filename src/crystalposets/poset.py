@@ -13,7 +13,12 @@ applied.  An interval is itself a :class:`CrystalGraph`
 (local indices, restricted covers, its bottom and top as minimum and
 maximum), built from its upward covers alone, as a generated crystal is;
 that lets the same machinery run on intervals of crystals far too large
-to generate.
+to generate.  :func:`free_interval` also bounds its search by v's entries:
+f_i raises one entry and no operator lowers one, so it applies f_i only
+where the raised cell stays at or below v's entry there.  Every vertex
+and cover of [u, v] lies below v, so the interval is exact and only the
+search shrinks; :func:`interval` on a graph, which need not be a tableau
+crystal, does not use the bound.
 
 Two analytics pass a small summary per vertex upward in rank order instead
 of enumerating: :func:`mobius_from` (mu from one source to every vertex)
@@ -54,7 +59,8 @@ from .crystal import (
     GraphSizeError,
     Tableau,
     _closure,
-    apply_f,
+    _lowering_cell,
+    _replace,
     graph_to_json,
     local_structure,
     weight,
@@ -214,7 +220,18 @@ def free_interval(u: Tableau, v: Tableau, n: int) -> CrystalGraph | None:
     each searched vertex, so an n outside 1..``DEFAULT_VERTEX_CAP`` raises
     ValueError before any is built.  u and v must be semistandard tableaux
     with entries in 1..n (an entry outside raises ValueError), as
-    :func:`crystal.apply_f` reads the letter runs of sorted rows.
+    :func:`crystal._lowering_cell` reads the letter runs of sorted rows;
+    tableaux of two shapes lie in two crystals and give None.
+
+    The search is bounded by v's entries.  f_i raises one entry from i to
+    i+1 and no operator lowers one, so x <= v holds each cell of x at or
+    below v's entry there.  The search applies f_i only where the raised
+    cell stays at or below v's, an O(1) test, as the image differs from x
+    in that cell alone.  A pruned image is never <= v, and every vertex and
+    cover of [u, v] lies below v, so the interval is the one the unbounded
+    search extracts; only the search is smaller.  :func:`interval` on a
+    graph does not use the bound, as an imported graph need not be a
+    tableau crystal.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> len(itv), itv.span, interval_mobius(itv)
@@ -223,9 +240,16 @@ def free_interval(u: Tableau, v: Tableau, n: int) -> CrystalGraph | None:
     if not 1 <= n <= DEFAULT_VERTEX_CAP:
         raise ValueError(f"n must lie in 1..{DEFAULT_VERTEX_CAP}, got {n}")
     budget = _color_budget(weight(u, n), weight(v, n))
-    if budget is None:
+    if budget is None or list(map(len, u)) != list(map(len, v)):
         return None
-    return _extract(u, v, budget, apply_f, None)
+
+    def step(x: Tableau, i: int) -> Tableau | None:
+        cell = _lowering_cell(x, i)
+        if cell is None or v[cell[0]][cell[1]] <= i:
+            return None
+        return _replace(x, cell, i + 1)
+
+    return _extract(u, v, budget, step, None)
 
 
 # -- Mobius function --------------------------------------------------------

@@ -234,12 +234,11 @@ def s3_product_mobius(interval: IntervalLookup, r: int = 2) -> Certificate:
     base_edges = {
         (base.vertices[a], base.vertices[b], i) for a, b, i in base.edges
     }
-    iso_ok = len({_split_composite(t, r) for t in itv.vertices}) == len(itv)
-    iso_ok &= all(
-        part in base_vertices for t in itv.vertices for part in _split_composite(t, r)
-    )
+    split = [_split_composite(t, r) for t in itv.vertices]
+    iso_ok = len(set(split)) == len(itv)
+    iso_ok &= all(part in base_vertices for parts in split for part in parts)
     for a, b, color in itv.edges:
-        pa, pb = _split_composite(itv.vertices[a], r), _split_composite(itv.vertices[b], r)
+        pa, pb = split[a], split[b]
         copy, local_color = divmod(color - 1, 4)
         local_color += 1
         changed = [k for k in range(r) if pa[k] != pb[k]]

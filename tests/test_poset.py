@@ -122,9 +122,23 @@ def test_budgeted_extraction_matches_brute_force_everywhere(graphs):
                 assert sorted(itv.edges) == list(itv.edges)
 
 
+def _unbounded(u, v, n):
+    """[u, v] from the budgeted search with no bound by v's entries."""
+    budget = poset._color_budget(weight(u, n), weight(v, n))
+    return None if budget is None else poset._extract(u, v, budget, apply_f, None)
+
+
+def _extraction(itv):
+    if itv is None:
+        return None
+    return itv.vertices, itv.edges, itv.fwd, itv.rank, itv.minimum, itv.maximum, itv.budget
+
+
 def test_free_interval_agrees_with_graph_interval(graphs):
     """Every pair of the three smallest matrix graphs, comparable or not,
-    and every lower and upper interval of B((4,3),4)."""
+    and every lower and upper interval of B((4,3),4).  On those pairs, the
+    s2 endpoints for n = 3..7 and the r=2 composite, the search bounded by
+    v's entries extracts what the unbounded search does."""
     cases = []
     for key in (((2, 1), 3), ((3, 2), 4), ((2, 2), 4)):
         g = graphs[key]
@@ -135,6 +149,7 @@ def test_free_interval_agrees_with_graph_interval(graphs):
     incomparable = 0
     for g, u, v in cases:
         got = free_interval(g.vertices[u], g.vertices[v], g.n)
+        assert _extraction(got) == _extraction(_unbounded(g.vertices[u], g.vertices[v], g.n))
         via_graph = interval(g, u, v)
         if via_graph is None:
             assert got is None
@@ -147,11 +162,22 @@ def test_free_interval_agrees_with_graph_interval(graphs):
         assert (got.minimum, got.maximum) == (via_graph.minimum, via_graph.maximum)
         assert got.index == via_graph.index
     assert incomparable == 37 + 2777 + 240
+    endpoints = [(*scenarios._two_row_endpoints(n), n + 1) for n in range(3, 8)]
+    endpoints.append(scenarios._composite_endpoints(2))
+    for u, v, n in endpoints:
+        got = free_interval(u, v, n)
+        assert got is not None
+        assert _extraction(got) == _extraction(_unbounded(u, v, n))
+    # two shapes lie in two crystals, and v has no cell (1, 0) to bound by
+    assert free_interval(((1, 1), (2,)), ((1, 3, 3),), 3) is None
+    assert _unbounded(((1, 1), (2,)), ((1, 3, 3),), 3) is None
 
 
 def test_interval_vertex_cap(g43, monkeypatch):
-    # the search from the base bottom explores the 15 vertices above it
-    # whose color counts stay within the budget; 12 of them are kept
+    # the search through g43 explores the 15 vertices above the base bottom
+    # whose color counts stay within the budget; the search bounded by the
+    # base top's entries explores the 14 of them that it dominates cell by
+    # cell; 12 are kept either way
     u, v = g43.index[BASE_BOTTOM], g43.index[BASE_TOP]
     wt = [weight(t, 4) for t in g43.vertices]
     budget = poset._color_budget(wt[u], wt[v])
@@ -160,14 +186,31 @@ def test_interval_vertex_cap(g43, monkeypatch):
         used = poset._color_budget(wt[u], wt[x])
         return all(used[i] <= budget[i] for i in budget)
 
-    assert sum(map(within_budget, oracles.brute_upset(g43, u))) == 15
+    def dominated(x):
+        cells = zip(g43.vertices[x], BASE_TOP)
+        return all(a <= b for row, top in cells for a, b in zip(row, top))
+
+    upset = oracles.brute_upset(g43, u)
+    assert sum(map(within_budget, upset)) == 15
+    assert sum(map(dominated, upset)) == 14
     monkeypatch.setattr(poset, "DEFAULT_VERTEX_CAP", 15)
-    assert len(interval(g43, u, v)) == len(free_interval(BASE_BOTTOM, BASE_TOP, 4)) == 12
+    assert len(interval(g43, u, v)) == 12
     monkeypatch.setattr(poset, "DEFAULT_VERTEX_CAP", 14)
+    assert len(free_interval(BASE_BOTTOM, BASE_TOP, 4)) == 12
     with pytest.raises(GraphSizeError):
         interval(g43, u, v)
+    monkeypatch.setattr(poset, "DEFAULT_VERTEX_CAP", 13)
     with pytest.raises(GraphSizeError):
         free_interval(BASE_BOTTOM, BASE_TOP, 4)
+    # s2[n=6]: the bounded search explores 454 tableaux, the unbounded 952
+    bottom, top = scenarios._two_row_endpoints(6)
+    monkeypatch.setattr(poset, "DEFAULT_VERTEX_CAP", 454)
+    assert len(free_interval(bottom, top, 7)) == 258
+    with pytest.raises(GraphSizeError):
+        _unbounded(bottom, top, 7)
+    monkeypatch.setattr(poset, "DEFAULT_VERTEX_CAP", 453)
+    with pytest.raises(GraphSizeError):
+        free_interval(bottom, top, 7)
 
 
 def test_free_interval_rejects_n_outside_the_vertex_cap():
