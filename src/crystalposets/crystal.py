@@ -29,6 +29,8 @@ import json
 from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import add
 from typing import Iterable
 
 Shape = tuple[int, ...]
@@ -347,14 +349,26 @@ def apply_word(graph: CrystalGraph, v: int, word: Iterable[int]) -> int | None:
     return cur
 
 
+def _square(down: tuple[dict[int, int], ...], x1: int, y1: int, i: int, j: int) -> int | None:
+    """The far end of the square along ``down`` whose first steps from a
+    vertex z reached x1 by color i and y1 by color j: the vertex where the
+    walk x1 -j-> and the walk y1 -i-> meet, or None unless both exist and
+    agree.  On ``bwd`` this is the raising square of Stembridge's axiom P5,
+    e_j e_i z = e_i e_j z; no side tuples are built.
+    """
+    x2 = down[x1].get(j)
+    return x2 if x2 is not None and x2 == down[y1].get(i) else None
+
+
 def _closure(
     down: tuple[dict[int, int], ...], z: int, i: int, j: int, steps: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The square (``steps`` 2) or hexagon (4) at z along ``down``: the walks
     from z by the colors (i, j, j, i) and by (j, i, i, j), cut to ``steps``,
     as vertex tuples, or None unless both end at one vertex.  z must have
-    covers of both colors.  On ``bwd`` these are the raising closures of
-    Stembridge's axioms P5 and P6; on ``fwd``, the same closures above z.
+    covers of both colors.  The square is :func:`_square` with its sides.
+    On ``bwd`` these are the raising closures of Stembridge's axioms P5 and
+    P6; on ``fwd``, the same closures above z.
 
     >>> g = generate((4, 3), 4)
     >>> for side in _closure(g.fwd, g.index[((1, 1, 1, 2), (2, 3, 4))], 1, 2, 4):
@@ -363,9 +377,10 @@ def _closure(
     1,1,1,2/2,3,4 1,1,1,2/3,3,4 1,1,2,2/3,3,4 1,2,2,2/3,3,4 1,2,2,3/3,3,4
     """
     x1, y1 = down[z][i], down[z][j]
-    x2, y2 = down[x1].get(j), down[y1].get(i)
     if steps == 2:
-        return ((z, x1, x2), (z, y1, y2)) if x2 is not None and x2 == y2 else None
+        x2 = _square(down, x1, y1, i, j)
+        return None if x2 is None else ((z, x1, x2), (z, y1, x2))
+    x2, y2 = down[x1].get(j), down[y1].get(i)
     x3 = down[x2].get(j) if x2 is not None else None
     y3 = down[y2].get(i) if y2 is not None else None
     x4 = down[x3].get(i) if x3 is not None else None
@@ -421,7 +436,10 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
     other walk can fail to end.  The checks then run vertex by vertex over
     its lower covers in increasing color: P3 and P4 for each cover, then P5
     and P6 for each ordered pair of covers; the first violation is
-    returned.
+    returned.  P3 reads one column per color j, phi_j - eps_j (the rise
+    plus the depth), whose change along a color-i cover must be a_ij; once
+    it holds, P4 is exactly a_ij <= delta-depth <= 0.  A square's far end
+    comes from :func:`_square`, a hexagon's from :func:`_closure`.
     """
     colors = list(graph.colors)
     rise, depth = string_table(graph)
@@ -433,9 +451,11 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
         v, i = min(circuits)
         return AxiomReport(False, "P1", v, i, None, "monochromatic circuit")
 
-    # per color i, the string columns and a_ij of every color j
-    rows = {i: [(j, depth[j], rise[j], cartan_entry(i, j)) for j in colors] for i in colors}
-    fwd, bwd, n = graph.fwd, graph.bwd, graph.n
+    # phi_j - eps_j at every vertex, and per color i the columns and a_ij
+    # of every color j
+    height = {j: list(map(add, rise[j], depth[j])) for j in colors}
+    rows = {i: [(j, depth[j], height[j], cartan_entry(i, j)) for j in colors] for i in colors}
+    bwd, n = graph.bwd, graph.n
     for b in range(len(graph.vertices)):
         below = sorted(bwd[b].items())
         if below and not (0 < below[0][0] and below[-1][0] < n):
@@ -443,39 +463,41 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
             # have no strings, and are ignored as in the string table
             below = [(i, a) for i, a in below if 0 < i < n]
         for i, bp in below:
-            for j, dj, rj, a in rows[i]:
-                dd = dj[bp] - dj[b]
-                de = rj[bp] - rj[b]
-                if dd + de != a:
+            for j, dj, hj, a in rows[i]:
+                if hj[bp] - hj[b] != a:
+                    dd = dj[bp] - dj[b]
                     return AxiomReport(
-                        False, "P3", b, i, j, f"delta-depth {dd} + delta-rise {de} != a_ij {a}"
+                        False, "P3", b, i, j,
+                        f"delta-depth {dd} + delta-rise {hj[bp] - hj[b] - dd} != a_ij {a}",
                     )
-                if i != j and (dd > 0 or de > 0):
-                    return AxiomReport(False, "P4", b, i, j, f"positive difference ({dd}, {de})")
+                if i != j and not a <= dj[bp] - dj[b] <= 0:
+                    dd = dj[bp] - dj[b]
+                    return AxiomReport(False, "P4", b, i, j, f"positive difference ({dd}, {a - dd})")
 
         for i, bi in below:
             for j, bj in below:
                 if i == j:
                     continue
-                # a square (P5) when dd_ij = 0, a hexagon (P6) when both are -1
+                # a square (P5) when dd_ij = 0, a hexagon (P6) when both are -1;
+                # as each color is a partial bijection, f_j of the far end x
+                # lies on the side through bi, and f_i on the side through bj
                 dd_ij = depth[j][bi] - depth[j][b]
                 if dd_ij == 0:
-                    axiom, steps, shape = "P5", 2, "square"
+                    x = _square(bwd, bi, bj, i, j)
+                    if x is None:
+                        return AxiomReport(False, "P5", b, i, j, "raising square does not close")
+                    # f_j(x) = bi must have the i-rise of x
+                    if rise[i][x] != rise[i][bi]:
+                        return AxiomReport(False, "P5", b, i, j, "rise condition at the top fails")
                 elif dd_ij == -1 and depth[i][bj] - depth[i][b] == -1:
-                    axiom, steps, shape = "P6", 4, "hexagon"
-                else:
-                    continue
-                sides = _closure(bwd, b, i, j, steps)
-                if sides is None:
-                    return AxiomReport(False, axiom, b, i, j, f"raising {shape} does not close")
-                # at the far end x, f_j moves the i-rise by dd_ij, and at a
-                # hexagon f_i moves the j-rise by -1
-                x = sides[0][-1]
-                fxj = fwd[x].get(j)
-                if fxj is None or rise[i][x] - rise[i][fxj] != dd_ij or steps == 4 and (
-                    (fxi := fwd[x].get(i)) is None or rise[j][x] - rise[j][fxi] != -1
-                ):
-                    return AxiomReport(False, axiom, b, i, j, "rise condition at the top fails")
+                    sides = _closure(bwd, b, i, j, 4)
+                    if sides is None:
+                        return AxiomReport(False, "P6", b, i, j, "raising hexagon does not close")
+                    # f_j(x) = xj must have one more i-rise than x, and
+                    # f_i(x) = xi one more j-rise
+                    (*_, xi, x), (*_, xj, _) = sides
+                    if rise[i][x] - rise[i][xj] != -1 or rise[j][x] - rise[j][xi] != -1:
+                        return AxiomReport(False, "P6", b, i, j, "rise condition at the top fails")
     return AxiomReport(True)
 
 
@@ -516,13 +538,14 @@ def local_structure(graph: CrystalGraph, u: int, i: int, j: int) -> LocalStructu
 # -- serialization ----------------------------------------------------------
 
 def graph_to_json(graph: CrystalGraph) -> dict:
-    """Schema: shape, n, vertices as rows-of-rows, [src, dst, color] edges,
-    and the rank vector; vertex order is generation order."""
+    """Schema: shape, n, vertices as rows-of-rows, [src, dst, color] edges
+    in the order of :attr:`CrystalGraph.edges`, and the rank vector; vertex
+    order is generation order."""
     return {
         "shape": list(graph.shape) if graph.shape else None,
         "n": graph.n,
-        "vertices": [[list(row) for row in t] for t in graph.vertices],
-        "edges": [list(e) for e in graph.edges],
+        "vertices": [list(map(list, t)) for t in graph.vertices],
+        "edges": [[a, b, i] for a, out in enumerate(graph.fwd) for i, b in out.items()],
         "rank": list(graph.rank),
     }
 
@@ -533,21 +556,29 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     Intended for auditing externally produced graphs: numbers other than
     JSON integers (floats, strings, booleans), an n outside
     1..``DEFAULT_VERTEX_CAP``, an invalid shape or a tableau not of that
-    shape, repeated tableaux, duplicate or parallel edges, broken
-    gradedness and (by :class:`CrystalGraph`) two covers of one color into
-    one vertex are rejected; anything deeper is the axiom checker's job.
+    shape, repeated tableaux, an edge that is not a [source, target, color]
+    triple, duplicate or parallel edges, broken gradedness and (by
+    :class:`CrystalGraph`) two covers of one color into one vertex are
+    rejected; anything deeper is the axiom checker's job.  Only a missing
+    or null ``shape`` means no shape: any other value must be a valid one.
     """
     if isinstance(data, str):
         data = json.loads(data)
     try:
         n = data["n"]
-        vertices = tuple(tuple(tuple(row) for row in t) for t in data["vertices"])
-        raw_edges = [tuple(e) for e in data["edges"]]
-        shape = tuple(data["shape"]) if data.get("shape") else None
+        vertices = tuple(tuple(map(tuple, t)) for t in data["vertices"])
+        raw_edges = list(map(tuple, data["edges"]))
+        shape = data.get("shape")
+        if shape is not None:
+            shape = tuple(shape)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed crystal graph JSON: {exc!r}") from exc
-    kinds = {type(x) for t in vertices for row in t for x in row}
-    kinds.update(type(x) for e in raw_edges for x in e)
+
+    def entries():
+        return chain.from_iterable(chain.from_iterable(vertices))
+
+    kinds = set(map(type, entries()))
+    kinds.update(map(type, chain.from_iterable(raw_edges)))
     kinds.update(map(type, (n, *(shape or ()))))
     if kinds - {int}:
         raise ValueError("shape, n, tableau entries and edges must be JSON integers")
@@ -557,21 +588,25 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
         check_shape(shape)
         if any(tuple(map(len, t)) != shape for t in vertices):
             raise ValueError(f"a tableau's rows do not match shape {shape}")
-    if any(not 1 <= x <= n for t in vertices for row in t for x in row):
+    if not 1 <= min(entries(), default=1) <= max(entries(), default=1) <= n:
         raise ValueError(f"tableau entries must lie in 1..{n}")
     nv = len(vertices)
     if len(set(vertices)) != nv:
         raise ValueError("a tableau is repeated among the vertices")
+    if set(map(len, raw_edges)) - {3}:
+        edge = next(e for e in raw_edges if len(e) != 3)
+        raise ValueError(f"edge {list(edge)} must be [source, target, color]")
     fwd: list[dict[int, int]] = [{} for _ in range(nv)]
     indeg = [0] * nv
     for a, b, i in raw_edges:
-        if not (0 <= a < nv and 0 <= b < nv and 1 <= i <= n - 1):
+        if not (0 <= a < nv and 0 <= b < nv and 0 < i < n):
             raise ValueError(f"edge ({a}, {b}, {i}) out of range")
-        if i in fwd[a]:
+        out = fwd[a]
+        if i in out:
             raise ValueError(f"duplicate color-{i} edge at ({a}, {b})")
-        if b in fwd[a].values():  # f_i(a) and f_j(a) differ in weight
+        if b in out.values():  # f_i(a) and f_j(a) differ in weight
             raise ValueError(f"parallel edges from {a} to {b}")
-        fwd[a][i] = b
+        out[i] = b
         indeg[b] += 1
 
     sources = [v for v in range(nv) if not indeg[v]]

@@ -21,7 +21,9 @@ check of the key table live here too: only tests call them.  Key fibers keep
 their pairwise form (one up-set per vertex, a middle-element search per
 relation), as the reference for the package's down-set masks, and the
 Demazure subcrystals are built by the classical f_i-string recursion over
-S_n, which reads no key.
+S_n, which reads no key.  The seeded import mutants (``imported_mutants``)
+that the axiom checker and the move-class pass are compared on come from
+here too.
 """
 
 from __future__ import annotations
@@ -33,7 +35,15 @@ from itertools import combinations, permutations
 from dataclasses import dataclass
 
 from crystalposets import poset, weyl
-from crystalposets.crystal import AxiomReport, CrystalGraph, Tableau, apply_word, cartan_entry
+from crystalposets.crystal import (
+    AxiomReport,
+    CrystalGraph,
+    Tableau,
+    apply_word,
+    cartan_entry,
+    graph_from_json,
+    graph_to_json,
+)
 from crystalposets.keymap import Fiber, KeyReport
 from crystalposets.poset import SaturatedChain
 
@@ -728,3 +738,29 @@ def brute_move_components(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP)
                     queue.append(m)
         components.append(sorted(comp))
     return chains, components
+
+
+def imported_mutants(g: CrystalGraph, seed: int, count: int):
+    """Seeded ``graph_from_json`` mutants of g, 1-3 edges each deleted,
+    recolored or retargeted, and their reverses, kept when they have a
+    unique minimum and maximum."""
+    rng = random.Random(seed)
+    data = graph_to_json(g)
+    for _ in range(count):
+        edges = [list(e) for e in data["edges"]]
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(edges))
+            kind = rng.randrange(3)
+            if kind == 0:
+                del edges[k]
+            elif kind == 1:
+                edges[k][2] = rng.randrange(1, g.n)
+            else:
+                edges[k][1] = rng.randrange(len(g))
+        try:
+            mutant = graph_from_json({**data, "edges": edges})
+        except ValueError:
+            continue
+        for h in (mutant, mutant.reverse()):
+            if h.minimum is not None and h.maximum is not None:
+                yield h

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import random
+import re
+from collections import Counter
+from copy import deepcopy
 from itertools import combinations
 
 import pytest
@@ -339,6 +342,25 @@ def test_axioms_match_oracle_on_mutants(graphs):
     assert cases == 336
 
 
+def test_axioms_match_oracle_on_imported_mutants():
+    # 1-3 edits each: unlike the single-edge mutants above (P3 reports and
+    # hexagons that do not close), these seeds reach a raising square that
+    # does not close and a hexagon whose top breaks the rise condition
+    reports = Counter()
+    for key, seed in ((((3, 2), 4), 13), (((4, 3), 4), 18), (((2, 2), 4), 10), (((3, 2, 1), 4), 8)):
+        for h in oracles.imported_mutants(generate(*key), seed, 100):
+            report = check_stembridge_axioms(h)
+            assert report == oracles.brute_stembridge_axioms(h)
+            reports[report.axiom, report.detail if report.axiom in ("P5", "P6") else ""] += 1
+    assert reports == {
+        (None, ""): 26,
+        ("P3", ""): 110,
+        ("P5", "raising square does not close"): 1,
+        ("P6", "raising hexagon does not close"): 14,
+        ("P6", "rise condition at the top fails"): 3,
+    }
+
+
 def test_axioms_match_oracle_on_matrix(graphs):
     for g in graphs.values():
         for h in (g, g.reverse()):
@@ -385,6 +407,24 @@ def test_axioms_report_circuits_like_the_oracle():
         report = check_stembridge_axioms(g)
         assert report == oracles.brute_stembridge_axioms(g)
         assert (report.axiom, report.vertex, report.i) == ("P1", *witness)
+
+
+def test_axioms_report_what_no_single_edge_mutant_reaches():
+    # b = 0 has lower covers 1 (color 1) and 2 (color 2), which close the
+    # square at x = 3, and upper covers of both colors; P3 and P4 hold at b,
+    # but f_2 x = 1 has one more 1-rise than x, as 0 -1-> 5 extends its
+    # 1-string while 2 is the top of x's
+    g = _direct_graph([(3, 1, 2), (3, 2, 1), (1, 0, 1), (2, 0, 2), (0, 4, 2), (0, 5, 1)])
+    report = check_stembridge_axioms(g)
+    assert report == oracles.brute_stembridge_axioms(g)
+    assert report == AxiomReport(False, "P5", 0, 1, 2, "rise condition at the top fails")
+    # the color-1 cover 1 -> 0 lies two color-2 steps above the bottom of
+    # its 2-string 3 -> 2 -> 1 -> 4, and 0 on none: delta-depth -2 and
+    # delta-rise 1 sum to a_12 = -1, so P3 holds and P4 fails on the rise
+    g = _direct_graph([(1, 0, 1), (3, 2, 2), (2, 1, 2), (1, 4, 2)])
+    report = check_stembridge_axioms(g)
+    assert report == oracles.brute_stembridge_axioms(g)
+    assert report == AxiomReport(False, "P4", 0, 1, 2, "positive difference (-2, 1)")
 
 
 def _cut_with_b_first(g, b, cut):
@@ -509,6 +549,16 @@ def test_json_round_trip(g32):
     assert back.minimum == g32.minimum and back.maximum == g32.maximum
 
 
+def test_json_export_lists_edges_in_edges_order(graphs):
+    # the export reads fwd itself; on a reversed view fwd is the primal's bwd
+    g = graphs[((4, 3), 4)]
+    [(u, v)] = oracles.comparable_pairs_sample(g, 1, seed=27)
+    itv = interval(g, u, v)
+    assert len(itv.edges) > len(itv) > 2
+    for h in [h for g in graphs.values() for h in (g, g.reverse())] + [itv]:
+        assert graph_to_json(h)["edges"] == [list(e) for e in h.edges]
+
+
 def test_json_import_rejects_duplicates_and_cycles(g21):
     repeated = graph_to_json(g21)
     repeated["vertices"][1] = repeated["vertices"][2]
@@ -540,42 +590,66 @@ def test_json_import_rejects_duplicates_and_cycles(g21):
     }
     with pytest.raises(ValueError):
         graph_from_json(cyclic)
+    # each entry below breaks one rule of a valid one-edge graph
+    one = {**bad, "edges": [[0, 1, 1]]}
     malformed = [
         {"n": 3},
-        {**bad, "vertices": 5},
-        {**bad, "edges": None},
-        {**bad, "shape": 5},
-        {**bad, "vertices": [[[0]], [[2]]]},
-        {**bad, "vertices": [[[3]], [[2]]]},
+        {**one, "vertices": 5},
+        {**one, "edges": None},
+        {**one, "shape": 5},
+        {**one, "vertices": [[[0]], [[2]]]},
+        {**one, "vertices": [[[3]], [[2]]]},
         # an invalid shape, or a tableau not of the shape given
-        {**bad, "shape": [-1]},
-        {**bad, "shape": [0]},
-        {**bad, "shape": [1, 5]},
+        {**one, "shape": [-1]},
+        {**one, "shape": [0]},
+        {**one, "shape": [1, 5]},
         {"shape": [2, 1], "n": 3, "vertices": [[[1, 1, 1]]], "edges": [], "rank": [0]},
         # every later weight and budget would hold n entries
-        {**bad, "n": 0},
-        {**bad, "n": crystal.DEFAULT_VERTEX_CAP + 1},
-        {**bad, "n": 10**19},
+        {**one, "n": 0},
+        {**one, "n": crystal.DEFAULT_VERTEX_CAP + 1},
+        {**one, "n": 10**19},
+        # only a missing or null shape means no shape
+        {**one, "shape": []},
+        {**one, "shape": 0},
+        {**one, "shape": False},
+        {**one, "shape": ""},
+        # an edge is a [source, target, color] triple
+        {**one, "edges": [[0, 1]]},
+        {**one, "edges": [[0, 1, 1, 7]]},
     ]
     # only JSON integers: no float (1.7 used to load as 1), string or bool,
     # and no infinity (which used to raise OverflowError)
     not_integers = [
-        {**bad, "vertices": [[[1.7]], [[2]]]},
-        {**bad, "edges": [[0, 1, 1.2]]},
-        {**bad, "vertices": [[["1"]], [[2]]]},
-        {**bad, "vertices": [[[True]], [[2]]]},
-        {**bad, "edges": [[0, 1, True]]},
-        {**bad, "n": "3"},
-        {**bad, "n": True},
-        {**bad, "n": 2.0},
-        {**bad, "shape": ["1"]},
-        {**bad, "shape": [1.0]},
+        {**one, "vertices": [[[1.7]], [[2]]]},
+        {**one, "edges": [[0, 1, 1.2]]},
+        {**one, "vertices": [[["1"]], [[2]]]},
+        {**one, "vertices": [[[True]], [[2]]]},
+        {**one, "edges": [[0, 1, True]]},
+        {**one, "n": "3"},
+        {**one, "n": True},
+        {**one, "n": 2.0},
+        {**one, "shape": ["1"]},
+        {**one, "shape": [1.0]},
     ]
     for data in malformed + not_integers:
         with pytest.raises(ValueError):
             graph_from_json(data)
-    good = json.dumps({**bad, "edges": [[0, 1, 1]]})
+    good = json.dumps(one)
     assert len(graph_from_json(good)) == 2
+    assert graph_from_json({**json.loads(good), "shape": None}).shape is None
+    # [] and "" reach the shape check as (); 0 and false are not iterable
+    for shape, pattern in (
+        ([], r"^shape parts must be positive: \(\)$"),
+        ("", r"^shape parts must be positive: \(\)$"),
+        (0, r"^malformed crystal graph JSON: TypeError"),
+        (False, r"^malformed crystal graph JSON: TypeError"),
+    ):
+        with pytest.raises(ValueError, match=pattern):
+            graph_from_json({**one, "shape": shape})
+    for edge in ([0, 1], [0, 1, 1, 7]):
+        message = f"edge {edge} must be [source, target, color]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph_from_json({**one, "edges": [[0, 1, 1], edge]})
     for old, new in (('"n": 2', '"n": Infinity'), ('"n": 2', '"n": 1e400'),
                      ('"shape": [1]', '"shape": [1e400]'),
                      ("[[[1]], [[2]]]", "[[[1]], [[1e400]]]")):
@@ -605,15 +679,16 @@ def _slots(node):
 def _mutate(rng, data):
     """One random mutation of a graph export, in place: any field, vertex,
     row, entry, edge or edge entry replaced, a key dropped, or an edge
-    appended."""
+    appended.  Values are copied in, so a later mutation of the document
+    cannot edit ``_FUZZ_VALUES`` itself."""
     kind = rng.randrange(4)
     if kind == 0 and data:
         del data[rng.choice(list(data))]
     elif kind == 1 and isinstance(data.get("edges"), list):
-        data["edges"].append([rng.choice(_FUZZ_VALUES + [0, 1, 2]) for _ in range(3)])
+        data["edges"].append([deepcopy(rng.choice(_FUZZ_VALUES + [0, 1, 2])) for _ in range(3)])
     elif slots := list(_slots(data)):
         node, key = rng.choice(slots)
-        node[key] = rng.choice(_FUZZ_VALUES)
+        node[key] = deepcopy(rng.choice(_FUZZ_VALUES))
 
 
 def test_json_import_fuzz_raises_only_value_error(g21):

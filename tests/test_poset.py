@@ -613,7 +613,7 @@ def _whole_graph_corpus(mutants):
             digest.update(json.dumps(record, sort_keys=True).encode())
             fibers += len(fibs)
     for seed, g in enumerate(small):
-        for h in _imported_mutants(g, seed, mutants):
+        for h in oracles.imported_mutants(g, seed, mutants):
             report = check_stembridge_axioms(h)
             digest.update(json.dumps(dataclasses.asdict(report), sort_keys=True).encode())
             checked += 1
@@ -686,39 +686,13 @@ def test_union_find_branch_merges_along_hexagons(g32):
     assert hexagons
 
 
-def _imported_mutants(g, seed, count):
-    """Seeded ``graph_from_json`` mutants of g, 1-3 edges each deleted,
-    recolored or retargeted, and their reverses, kept when they have a
-    unique minimum and maximum."""
-    rng = random.Random(seed)
-    data = graph_to_json(g)
-    for _ in range(count):
-        edges = [list(e) for e in data["edges"]]
-        for _ in range(rng.randint(1, 3)):
-            k = rng.randrange(len(edges))
-            kind = rng.randrange(3)
-            if kind == 0:
-                del edges[k]
-            elif kind == 1:
-                edges[k][2] = rng.randrange(1, g.n)
-            else:
-                edges[k][1] = rng.randrange(len(g))
-        try:
-            mutant = graph_from_json({**data, "edges": edges})
-        except ValueError:
-            continue
-        for h in (mutant, mutant.reverse()):
-            if h.minimum is not None and h.maximum is not None:
-                yield h
-
-
 def test_move_classes_match_brute_force_on_imported_mutants():
     # the move-class pass on graphs no crystal generates, with squares and
     # hexagons broken or misplaced; mutants with two edges a -> b are
     # rejected at import, as the pass keys its class records by lower cover
     cases = multi = 0
     for seed, key in enumerate((((2, 1), 3), ((2, 1), 4), ((2, 2), 4), ((3, 1), 4))):
-        for h in _imported_mutants(generate(*key), seed, 450):
+        for h in oracles.imported_mutants(generate(*key), seed, 450):
             expected = oracles.brute_move_components(h)
             assert stembridge_components(h) == expected
             _check_summary(h, expected)
@@ -790,7 +764,7 @@ def _split_case(case):
     if case == "reversed":
         return _split_case(9).reverse()
     if case == "mutant":
-        return next(_imported_mutants(generate((3, 1), 4), 3, 450))
+        return next(oracles.imported_mutants(generate((3, 1), 4), 3, 450))
     rng = random.Random(case)
     u = _random_f_walk(rng, highest((3, 2, 1), 5), 5, 3)
     itv = free_interval(u, _random_f_walk(rng, u, 5, case), 5)
@@ -910,7 +884,7 @@ def test_local_top_minimal_matches_minimal_upper_bounds_on_imported_mutants():
     mutants = [
         h
         for seed, key in enumerate((((2, 1), 3), ((2, 2), 4), ((3, 1), 4), ((3, 2), 4)))
-        for h in _imported_mutants(generate(*key), seed, 100)
+        for h in oracles.imported_mutants(generate(*key), seed, 100)
     ]
     # an added cover can put a common upper bound below a hexagon's top
     mutants += _covers_added(generate((2, 1), 4))
