@@ -16,11 +16,15 @@ whenever T' = f_i(T); viewed as a poset it is graded with a unique minimum
 Every graph is a :class:`CrystalGraph`, built from its upward covers
 ``fwd`` alone.  Each color is a partial bijection (f_i is injective, and
 e_i is its inverse), which the type checks as it derives the downward
-covers ``bwd``, the rank ``layers`` and, when not passed, the tableau
-``index``; no caller passes or guards against anything else.
+covers ``bwd`` and the rank ``layers``; no caller passes or guards against
+anything else.  The tableau ``index`` is derived from the vertices on
+first read, except that :func:`generate` hands over the dict its search
+built, so an extracted interval or an import whose index is never read
+builds none.
 
 Graphs are immutable after generation and all queries are pure, so a graph
-may be shared freely across threads.
+may be shared freely across threads: ``index`` is a function of the
+vertices, so two threads that both build it get equal dicts.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import add
 from typing import Iterable
@@ -175,10 +180,11 @@ class CrystalGraph:
     O(1) per step in either direction.  ``layers`` lists the vertices of
     each rank, each layer in increasing index, for the kernels that pass
     a summary up or down in rank order.  ``bwd`` and ``layers`` are always
-    derived, never passed; ``index`` is built from the vertices when not
-    passed, as :func:`generate` and interval extraction leave it.  The
-    inversion lists each vertex's lower covers by increasing index.  The
-    edge list (:attr:`edges`) and the weights are derived.
+    derived, never passed.  ``index`` (tableau -> vertex) is no field: it
+    is derived from the vertices on first read (:attr:`index`), so ``==``
+    compares the fields alone, which determine it.  The inversion lists
+    each vertex's lower covers by increasing index.  The edge list
+    (:attr:`edges`) and the weights are derived.
 
     Vertices of a generated crystal are indexed in generation (BFS) order,
     children explored in increasing color order, which makes every export
@@ -196,7 +202,6 @@ class CrystalGraph:
     maximum: int | None
     fwd: tuple[dict[int, int], ...] = field(repr=False)
     budget: dict[int, int] | None = None
-    index: dict[Tableau, int] = field(default_factory=dict, repr=False)
     bwd: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
     layers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
@@ -212,8 +217,12 @@ class CrystalGraph:
             raise ValueError("two covers of one color enter one vertex")
         self.bwd = tuple(bwd)
         self.layers = tuple(map(tuple, layers))
-        if not self.index:
-            self.index = {t: k for k, t in enumerate(self.vertices)}
+
+    @cached_property
+    def index(self) -> dict[Tableau, int]:
+        """Tableau -> vertex, built on first read; :func:`generate` sets the
+        dict of its search instead."""
+        return {t: k for k, t in enumerate(self.vertices)}
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -237,8 +246,9 @@ class CrystalGraph:
 
     def reverse(self) -> "CrystalGraph":
         """Dual view: the adjacency and the layers swapped and the rank
-        flipped; vertices, adjacency dicts, layers and index are shared with
-        this graph, and nothing is inverted again.
+        flipped; vertices, adjacency dicts and layers are shared with this
+        graph, and so is the index once this graph has built it.  Nothing is
+        inverted again.
 
         The result is again a valid crystal graph (the color relabeling
         that would restore the usual conventions does not matter for any
@@ -314,8 +324,8 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
         rank=tuple(rank),
         minimum=0,
         maximum=sinks[0] if len(sinks) == 1 else None,
-        index=index,
     )
+    graph.index = index
     sources = [v for v in range(len(vertices)) if not graph.bwd[v]]
     if sources != [0] or len(sinks) != 1:
         raise RuntimeError(f"crystal of {shape} lacks a unique minimum/maximum")

@@ -34,9 +34,10 @@ covers themselves; elsewhere it runs union-find over per-class records.
 to get each class's chain count and least label sequence, so the
 chain-move components are summarized without listing a chain.  Chains
 are listed in one place, :func:`_chains`: each is a prefix from the bottom
-joined at the middle rank to a suffix to the top, and one integer pass
-counts the chains and checks the count against the cap before any prefix
-or suffix is built.
+joined at the middle rank to a suffix to the top.  Where the largest
+out-degree to the power of the span exceeds the cap, one integer pass
+first counts the chains and checks the count against the cap before
+any prefix or suffix is built.
 :func:`saturated_chains` is that list alone; :func:`stembridge_components`
 adds the class pass and, only where the top has two or more classes,
 walks each chain's class up the class table.
@@ -51,7 +52,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .crystal import (
     DEFAULT_VERTEX_CAP,
@@ -395,10 +396,13 @@ def euler_mobius(itv: CrystalGraph) -> int:
 
 # -- saturated chains and chain moves ---------------------------------------
 
-@dataclass(frozen=True)
-class SaturatedChain:
+class SaturatedChain(NamedTuple):
     """A maximal chain through an interval, as local vertex indices plus the
-    matching cover colors."""
+    matching cover colors.
+
+    It is a named tuple: immutable and hashable, built with no per-field
+    assignment, and also iterable and orderable, and equal to the plain
+    tuple ``(vertices, labels)``."""
 
     vertices: tuple[int, ...]
     labels: tuple[int, ...]
@@ -410,22 +414,31 @@ def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[Saturate
     ``span // 2``, or the whole span below 4, where suffix lists cost more
     than they save.
 
-    First one integer pass down the interval's ``layers`` (no sort) counts
-    the chains from each vertex to the top, and more than ``cap`` chains
-    from the bottom raise :class:`ChainCapError` before any prefix or
-    suffix is built.  Then the prefixes grow up from the bottom rank by
-    rank, and the suffix lists down the layers from just below the top to
-    the middle rank; both extend along the covers in increasing color
-    order, so the joined chains come out in label order."""
+    A chain takes one of at most D upper covers at each of its ``span``
+    steps, D the largest out-degree, so nothing more than D^span chains is
+    ever listed, on any graph.  Only where that bound exceeds ``cap`` does
+    one integer pass down the interval's ``layers`` (no sort) count the
+    chains from each vertex to the top; more than ``cap`` chains from the
+    bottom then raise :class:`ChainCapError` before any prefix or suffix is
+    built.  The prefixes grow up from the bottom rank by rank, and the
+    suffix lists down the layers from just below the top to the middle
+    rank; both extend along the covers in increasing color order, so the
+    joined chains come out in label order."""
     rank = itv.rank
-    count = [0] * len(itv)  # chains from each vertex to the top
-    for layer in reversed(itv.layers):  # the top is the one vertex without upper covers
-        for x in layer:
-            count[x] = sum(map(count.__getitem__, itv.fwd[x].values())) or 1
-    if count[bottom] > cap:
-        raise ChainCapError(f"chain cap {cap} exceeded")
-    up = [sorted(covers.items()) for covers in itv.fwd]  # (color, cover) by color
     span = rank[top] - rank[bottom]
+    degree, bound = max(map(len, itv.fwd)), 1
+    for _ in range(span):
+        bound *= degree
+        if bound > cap:  # stop before the product grows past the cap
+            break
+    if bound > cap:
+        count = [0] * len(itv)  # chains from each vertex to the top
+        for layer in reversed(itv.layers):  # the top is the one vertex without upper covers
+            for x in layer:
+                count[x] = sum(map(count.__getitem__, itv.fwd[x].values())) or 1
+        if count[bottom] > cap:
+            raise ChainCapError(f"chain cap {cap} exceeded")
+    up = [sorted(covers.items()) for covers in itv.fwd]  # (color, cover) by color
     half = span if span < 4 else span // 2
     prefixes = [((bottom,), ())]
     for _ in range(half):
@@ -444,10 +457,11 @@ def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[Saturate
 def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[SaturatedChain]:
     """All maximal chains from bottom to top, sorted by labels, with no
     move-class pass: prefixes from the bottom joined to suffixes to the top
-    at the middle rank (see :func:`_chains`).  The chains are counted
-    first, so more than ``cap`` chains raise :class:`ChainCapError` before
-    any prefix, suffix or chain is built.  A graph without a unique minimum
-    or maximum raises ValueError.
+    at the middle rank (see :func:`_chains`).  More than ``cap`` chains
+    raise :class:`ChainCapError` before any prefix, suffix or chain is
+    built: the chains are counted first wherever the largest out-degree to
+    the power of the span exceeds ``cap``, and elsewhere that power bounds
+    them.  A graph without a unique minimum or maximum raises ValueError.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> [c.labels for c in saturated_chains(itv)]
@@ -658,9 +672,11 @@ def stembridge_components(
     every chain is in it; otherwise each chain walks its class up the
     table, ``c = carry[w][a][c]`` along each of its covers a -> w.  More
     than ``MOVE_CLASS_CAP`` class records raise :class:`ChainCapError`, and
-    so do more than ``cap`` chains, counted after the class pass and before
-    any prefix, suffix or chain is built.  A graph without a unique minimum
-    or maximum raises ValueError.
+    so do more than ``cap`` chains, after the class pass and before any
+    prefix, suffix or chain is built; they are counted only where the
+    largest out-degree to the power of the span exceeds ``cap``, as in
+    :func:`saturated_chains`.  A graph without a unique minimum or maximum
+    raises ValueError.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> chains, components = stembridge_components(itv)

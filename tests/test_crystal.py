@@ -549,6 +549,18 @@ def test_json_round_trip(g32):
     assert back.minimum == g32.minimum and back.maximum == g32.maximum
 
 
+def test_index_is_derived_on_first_read():
+    # generate hands over the dict of its search; an import builds its
+    # index only when it is read, and both equal the vertex order, which
+    # determines them, so == ignores them
+    g = generate((3, 2), 4)
+    assert "index" in vars(g)
+    back = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+    assert "index" not in vars(back) and back == g
+    assert back.index == g.index == {t: k for k, t in enumerate(g.vertices)}
+    assert back == g
+
+
 def test_json_export_lists_edges_in_edges_order(graphs):
     # the export reads fwd itself; on a reversed view fwd is the primal's bwd
     g = graphs[((4, 3), 4)]

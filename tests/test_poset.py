@@ -15,6 +15,7 @@ import pytest
 import oracles
 from crystalposets import poset, scenarios
 from crystalposets.crystal import (
+    CrystalGraph,
     GraphSizeError,
     apply_f,
     check_stembridge_axioms,
@@ -545,19 +546,24 @@ def test_chain_layer_matches_brute_force_on_free_intervals():
 CORPUS_CASES = FREE_CASES + (((6, 5), 7), ((3, 3, 2), 7), ((7, 6), 8), ((4, 3, 2, 1), 8))
 
 
+def _corpus_intervals(count):
+    """The ``count`` seeded free intervals of the query corpus: u is a walk
+    of 0..20 covers above the highest tableau and v 2..8 more above u."""
+    rng = random.Random(3)
+    for q in range(count):
+        shape, n = CORPUS_CASES[q % len(CORPUS_CASES)]
+        u = _random_f_walk(rng, highest(shape, n), n, rng.randint(0, 20))
+        yield free_interval(u, _random_f_walk(rng, u, n, rng.randint(2, 8)), n)
+
+
 def _query_corpus(count):
     """sha256 over ``count`` seeded queries of the library path: each
     interval's export and its lower covers in stored order, mu, the chains
     and the components; plus the total chain count and the number of
-    queries with two or more components.  u is a walk of 0..20 covers
-    above the highest tableau and v 2..8 more above u."""
-    rng = random.Random(3)
+    queries with two or more components (see :func:`_corpus_intervals`)."""
     digest = hashlib.sha256()
     chains_total = multi = 0
-    for q in range(count):
-        shape, n = CORPUS_CASES[q % len(CORPUS_CASES)]
-        u = _random_f_walk(rng, highest(shape, n), n, rng.randint(0, 20))
-        itv = free_interval(u, _random_f_walk(rng, u, n, rng.randint(2, 8)), n)
+    for itv in _corpus_intervals(count):
         mu = interval_mobius(itv)
         chains, components = stembridge_components(itv)
         record = [
@@ -578,6 +584,17 @@ CORPUS_DIGEST = "0ea8515bffeda2dd04e83afbad29a587577786a760254b114b27a1bdfaac4f0
 def test_recorded_query_corpus():
     # 400 queries: 28,414 chains, 8 queries with two or more components
     assert _query_corpus(400) == (CORPUS_DIGEST, 28414, 8)
+
+
+def test_query_path_builds_no_index():
+    # nothing on the query path looks a tableau up in an interval, so its
+    # index is built only when first read, and is then the vertex order
+    for itv in _corpus_intervals(400):
+        interval_mobius(itv)
+        stembridge_components(itv)
+        assert "index" not in vars(itv)
+        assert itv.index == {t: k for k, t in enumerate(itv.vertices)}
+        assert vars(itv)["index"] is itv.index
 
 
 WHOLE_CASES = (
@@ -736,6 +753,52 @@ def test_refused_chain_cap_builds_no_chain(monkeypatch):
     built.clear()
     chains, components = stembridge_components(itv, cap=374)
     assert len(chains) == len(built) == 374 and len(components) == 9
+
+
+def _five_chain_graph():
+    """Span 2 with 5 chains, built directly: a bottom with five covers of
+    colors 1..5, each atom covered by the top in its own color 6..10.  Its
+    budget claims one cover each of colors 1 and 2, which the type does not
+    check: a bound from span! (2) or from the budget's multinomial (2)
+    would let 5 chains through a cap of 4."""
+    fwd = [{i: i for i in range(1, 6)}, *({i + 5: 6} for i in range(1, 6)), {}]
+    return CrystalGraph(
+        shape=None, n=3, vertices=tuple(((k + 1,),) for k in range(7)), fwd=tuple(fwd),
+        rank=(0, 1, 1, 1, 1, 1, 2), minimum=0, maximum=6, budget={1: 1, 2: 1},
+    )
+
+
+def test_chain_cap_bound_holds_on_any_graph():
+    # the count is skipped only where the largest out-degree to the power
+    # of the span clears the cap: 5^2 = 25 does not clear 4 or 5
+    g = _five_chain_graph()
+    for call in (saturated_chains, stembridge_components):
+        with pytest.raises(ChainCapError, match="^chain cap 4 exceeded$"):
+            call(g, cap=4)
+    chains = saturated_chains(g, cap=5)
+    assert chains == oracles.brute_saturated_chains(g) and len(chains) == 5
+    assert stembridge_components(g, cap=5) == oracles.brute_move_components(g)
+    one = CrystalGraph(
+        shape=None, n=2, vertices=(((1,),),), fwd=({},), rank=(0,), minimum=0, maximum=0,
+    )
+    with pytest.raises(ChainCapError, match="^chain cap 0 exceeded$"):
+        saturated_chains(one, cap=0)
+    assert saturated_chains(one, cap=1) == [((0,), ())]
+
+
+def test_saturated_chain_record(base_interval):
+    chains = saturated_chains(base_interval)
+    chain = chains[1]
+    assert chain.vertices[0] == base_interval.minimum
+    assert chain.vertices[-1] == base_interval.maximum
+    assert chain.labels == (2, 1, 3, 2) and len(chain.vertices) == 5
+    with pytest.raises(AttributeError):
+        chain.labels = ()
+    with pytest.raises(AttributeError):
+        chain.vertices = ()
+    twin = poset.SaturatedChain(tuple(chain.vertices), tuple(chain.labels))
+    assert twin == chain and hash(twin) == hash(chain)
+    assert twin == (chain.vertices, chain.labels) and len({twin, chain}) == 1
 
 
 @pytest.mark.parametrize("call", [saturated_chains, stembridge_components])
