@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
 
 from . import keymap, poset, scenarios, weyl
 from .crystal import (
@@ -47,12 +46,6 @@ def _positive_int(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-
-
-def _label_string(labels: Sequence[int]) -> str:
-    if not labels or max(labels) <= 9:
-        return "".join(str(i) for i in labels)
-    return ",".join(str(i) for i in labels)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,7 +159,7 @@ def _cmd_chains(args) -> int:
             print(f"{report['chain_count']} chains in "
                   f"{report['component_count']} move component(s)")
             for k, comp in enumerate(report["components"]):
-                rep = _label_string(comp["representative"])
+                rep = weyl.permutation_to_string(comp["representative"])
                 print(f"  component {k}: {comp['size']} chains, e.g. labels {rep}")
     else:
         chains = poset.saturated_chains(itv, cap=args.cap)
@@ -174,7 +167,7 @@ def _cmd_chains(args) -> int:
             print(json.dumps([list(c.labels) for c in chains]))
         else:
             for c in chains:
-                print(_label_string(c.labels))
+                print(weyl.permutation_to_string(c.labels))
     return 0
 
 

@@ -14,13 +14,16 @@ whenever T' = f_i(T); viewed as a poset it is graded with a unique minimum
 (the superstandard filling) and, being finite, a unique maximum.
 
 Every graph is a :class:`CrystalGraph`, built from its upward covers
-``fwd`` alone.  Each color is a partial bijection (f_i is injective, and
-e_i is its inverse), which the type checks as it derives the downward
-covers ``bwd`` and the rank ``layers``; no caller passes or guards against
-anything else.  The tableau ``index`` is derived from the vertices on
-first read, except that :func:`generate` hands over the dict its search
-built, so an extracted interval or an import whose index is never read
-builds none.
+``fwd`` and its ``rank`` alone, and the type is the one place that decides
+what a graph is.  As it derives the downward covers ``bwd`` and the rank
+``layers``, it checks that every cover has a color in 1..n-1 and raises the
+rank by one, so the graph is graded, and that each color is a partial
+bijection (f_i is injective, and e_i is its inverse).  It derives the ends
+``minimum`` and ``maximum`` from the covers, so no caller passes them, and
+none guards against anything the type rejects.  The tableau ``index`` is
+derived from the vertices on first read, except that :func:`generate`
+hands over the dict its search built, so an extracted interval or an
+import whose index is never read builds none.
 
 Graphs are immutable after generation and all queries are pure, so a graph
 may be shared freely across threads: ``index`` is a function of the
@@ -171,20 +174,27 @@ def apply_f(rows: Tableau, i: int) -> Tableau | None:
 class CrystalGraph:
     """Edge-colored cover graph of a tableau crystal, or of an interval in one.
 
-    The color-i covers are the operator f_i, and e_i is its inverse, so
-    every color is a partial bijection: a vertex has at most one color-i
-    cover above it and at most one below it.  ``fwd`` holds the covers
-    above each vertex by color, and the type enforces the invariant: it
-    inverts ``fwd`` into ``bwd``, the covers below, and raises ValueError
-    when two covers of one color enter one vertex.  String walks are then
-    O(1) per step in either direction.  ``layers`` lists the vertices of
-    each rank, each layer in increasing index, for the kernels that pass
-    a summary up or down in rank order.  ``bwd`` and ``layers`` are always
-    derived, never passed.  ``index`` (tableau -> vertex) is no field: it
-    is derived from the vertices on first read (:attr:`index`), so ``==``
-    compares the fields alone, which determine it.  The inversion lists
-    each vertex's lower covers by increasing index.  The edge list
-    (:attr:`edges`) and the weights are derived.
+    The type is the one place that decides what a graph is.  ``fwd`` holds
+    the covers above each vertex by color, and ``rank`` the rank of each
+    vertex; everything else is derived.  While it inverts ``fwd`` into
+    ``bwd``, the covers below, the type checks every cover: its color lies
+    in 1..n-1, and it raises the rank by exactly one.  So the graph is
+    graded, and no color string closes into a circuit.  The color-i covers
+    are the operator f_i, and e_i is its inverse, so every color is a
+    partial bijection: a vertex has at most one color-i cover above it and
+    at most one below it.  A negative rank, a cover of another color or
+    rank step, and two covers of one color into one vertex raise
+    ValueError.  String walks are then O(1) per step in either direction.
+
+    ``minimum`` and ``maximum`` are the only vertex with no cover below it
+    and the only one with no cover above it, or None where there is not
+    exactly one.  ``layers`` lists the vertices of each rank, each layer in
+    increasing index, for the kernels that pass a summary up or down in
+    rank order.  The inversion lists each vertex's lower covers by
+    increasing index.  ``index`` (tableau -> vertex) is no field: it is
+    derived from the vertices on first read (:attr:`index`), so ``==``
+    compares the passed fields alone, which determine the rest.  The edge
+    list (:attr:`edges`) and the weights are derived.
 
     Vertices of a generated crystal are indexed in generation (BFS) order,
     children explored in increasing color order, which makes every export
@@ -192,31 +202,49 @@ class CrystalGraph:
     ``maximum`` are u and v.  Its vertices are ordered by (rank, tableau)
     and ``budget`` holds the color multiset shared by all its maximal
     chains; the ambient graph's ``index`` maps its tableaux back there.
+
+    >>> line = CrystalGraph(None, 2, (((1,),), ((2,),)), (0, 1), ({1: 1}, {}))
+    >>> line.minimum, line.maximum, line.layers
+    (0, 1, ((0,), (1,)))
+    >>> CrystalGraph(None, 2, (((1,),), ((2,),)), (0, 0), ({1: 1}, {}))
+    Traceback (most recent call last):
+    ...
+    ValueError: graph is not graded at edge (0, 1, 1)
     """
 
     shape: Shape | None
     n: int
     vertices: tuple[Tableau, ...]
     rank: tuple[int, ...]
-    minimum: int | None
-    maximum: int | None
     fwd: tuple[dict[int, int], ...] = field(repr=False)
     budget: dict[int, int] | None = None
     bwd: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
     layers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    minimum: int | None = field(init=False, compare=False)
+    maximum: int | None = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        rank, n = self.rank, self.n
+        if min(rank, default=0) < 0:
+            raise ValueError(f"negative rank {min(rank)}")
         bwd: list[dict[int, int]] = [{} for _ in self.vertices]
-        layers: list[list[int]] = [[] for _ in range(max(self.rank, default=0) + 1)]
-        for a, (out, r) in enumerate(zip(self.fwd, self.rank)):
+        layers: list[list[int]] = [[] for _ in range(max(rank, default=0) + 1)]
+        for a, (out, r) in enumerate(zip(self.fwd, rank)):
             layers[r].append(a)  # one int object per vertex, shared with bwd
+            r += 1
             for i, b in out.items():
+                if rank[b] != r:
+                    raise ValueError(f"graph is not graded at edge ({a}, {b}, {i})")
+                if not 0 < i < n:
+                    raise ValueError(f"edge ({a}, {b}, {i}) has a color outside 1..{n - 1}")
                 bwd[b][i] = a
         # a lost entry is a second cover of its color into one vertex
         if sum(map(len, bwd)) < sum(map(len, self.fwd)):
             raise ValueError("two covers of one color enter one vertex")
         self.bwd = tuple(bwd)
         self.layers = tuple(map(tuple, layers))
+        self.minimum = bwd.index({}) if bwd.count({}) == 1 else None
+        self.maximum = self.fwd.index({}) if self.fwd.count({}) == 1 else None
 
     @cached_property
     def index(self) -> dict[Tableau, int]:
@@ -315,19 +343,11 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
                 fwd.append({})
                 rank.append(rank[v] + 1)
             fwd[v][i] = w
-    sinks = [v for v in range(len(vertices)) if not fwd[v]]
     graph = CrystalGraph(
-        shape=check_shape(shape),
-        n=n,
-        vertices=tuple(vertices),
-        fwd=tuple(fwd),
-        rank=tuple(rank),
-        minimum=0,
-        maximum=sinks[0] if len(sinks) == 1 else None,
+        shape=check_shape(shape), n=n, vertices=tuple(vertices), rank=tuple(rank), fwd=tuple(fwd)
     )
     graph.index = index
-    sources = [v for v in range(len(vertices)) if not graph.bwd[v]]
-    if sources != [0] or len(sinks) != 1:
+    if graph.minimum != 0 or graph.maximum is None:
         raise RuntimeError(f"crystal of {shape} lacks a unique minimum/maximum")
     return graph
 
@@ -401,16 +421,15 @@ def _closure(
 
 def _walk_lengths(
     adj: tuple[dict[int, int], ...], back: tuple[dict[int, int], ...], i: int, step: int
-) -> list[int | None]:
+) -> list[int]:
     """``step`` times the number of color-i moves along ``adj`` from every
-    vertex before the walk stops; None where it never stops.
+    vertex before the walk stops.
 
-    As color i is a partial bijection, each vertex lies on one string: a
-    path, or a circuit.  Each path is walked once along ``back``, from its
-    end (the vertex with no color-i cover in ``adj``), and a vertex left at
-    None lies on a circuit.
+    As color i is a partial bijection and every cover raises the rank, each
+    vertex lies on one string, a path.  Each path is walked once along
+    ``back``, from its end (the vertex with no color-i cover in ``adj``).
     """
-    out: list[int | None] = [None] * len(adj)
+    out = [0] * len(adj)
     for end, covers in enumerate(adj):
         if i not in covers:
             length, cur = 0, end
@@ -426,10 +445,7 @@ def string_table(graph: CrystalGraph) -> tuple[dict[int, list], dict[int, list]]
     from v to the end of its string, and ``depth[i][v]`` minus the number of
     steps down, for every vertex and color, from one pass per color and
     direction that walks each string once from its end: O(V*C) steps in
-    all.  An entry is None where the walk never ends (a monochromatic
-    circuit); as every color is a partial bijection, that is the same
-    vertices in both directions.
-    """
+    all."""
     rise = {i: _walk_lengths(graph.fwd, graph.bwd, i, 1) for i in graph.colors}
     depth = {i: _walk_lengths(graph.bwd, graph.fwd, i, -1) for i in graph.colors}
     return rise, depth
@@ -440,38 +456,26 @@ def check_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
     statistics at every vertex/color pair, from graph walks alone (no
     tableau formulas), so imported graphs can be audited too.
 
-    String lengths come from :func:`string_table`.  A monochromatic
-    circuit fails P1 first, at its first vertex, then color; as every color
-    is a partial bijection, a circuit forward is one backward too, so no
-    other walk can fail to end.  The checks then run vertex by vertex over
-    its lower covers in increasing color: P3 and P4 for each cover, then P5
-    and P6 for each ordered pair of covers; the first violation is
-    returned.  P3 reads one column per color j, phi_j - eps_j (the rise
-    plus the depth), whose change along a color-i cover must be a_ij; once
-    it holds, P4 is exactly a_ij <= delta-depth <= 0.  A square's far end
+    String lengths come from :func:`string_table`.  P1 holds by
+    construction: every cover raises the rank by one, so no color string
+    closes into a circuit (:class:`CrystalGraph`).  The checks run vertex
+    by vertex over its lower covers in increasing color: P3 and P4 for each
+    cover, then P5 and P6 for each ordered pair of covers; the first
+    violation is returned.  P3 reads one column per color j, phi_j - eps_j
+    (the rise plus the depth), whose change along a color-i cover must be
+    a_ij; once it holds, P4 is exactly a_ij <= delta-depth <= 0.  A square's far end
     comes from :func:`_square`, a hexagon's from :func:`_closure`.
     """
     colors = list(graph.colors)
     rise, depth = string_table(graph)
 
-    # no monochromatic circuits: the first vertex, then color, whose
-    # forward walk does not end
-    circuits = [(rise[i].index(None), i) for i in colors if None in rise[i]]
-    if circuits:
-        v, i = min(circuits)
-        return AxiomReport(False, "P1", v, i, None, "monochromatic circuit")
-
     # phi_j - eps_j at every vertex, and per color i the columns and a_ij
     # of every color j
     height = {j: list(map(add, rise[j], depth[j])) for j in colors}
     rows = {i: [(j, depth[j], height[j], cartan_entry(i, j)) for j in colors] for i in colors}
-    bwd, n = graph.bwd, graph.n
+    bwd = graph.bwd
     for b in range(len(graph.vertices)):
         below = sorted(bwd[b].items())
-        if below and not (0 < below[0][0] and below[-1][0] < n):
-            # a graph built directly may hold colors outside 1..n-1; they
-            # have no strings, and are ignored as in the string table
-            below = [(i, a) for i, a in below if 0 < i < n]
         for i, bp in below:
             for j, dj, hj, a in rows[i]:
                 if hj[bp] - hj[b] != a:
@@ -567,10 +571,13 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     JSON integers (floats, strings, booleans), an n outside
     1..``DEFAULT_VERTEX_CAP``, an invalid shape or a tableau not of that
     shape, repeated tableaux, an edge that is not a [source, target, color]
-    triple, duplicate or parallel edges, broken gradedness and (by
-    :class:`CrystalGraph`) two covers of one color into one vertex are
-    rejected; anything deeper is the axiom checker's job.  Only a missing
-    or null ``shape`` means no shape: any other value must be a valid one.
+    triple, duplicate or parallel edges, and a vertex that no source reaches
+    (it lies above a directed cycle) are rejected.  The ranks are numbered
+    breadth-first from the sources, and :class:`CrystalGraph` rejects broken
+    gradedness, which takes in every other cycle, and two covers of one
+    color into one vertex, and derives the ends; anything deeper is the
+    axiom checker's job.  Only a missing or null ``shape`` means no shape:
+    any other value must be a valid one.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -607,7 +614,7 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
         edge = next(e for e in raw_edges if len(e) != 3)
         raise ValueError(f"edge {list(edge)} must be [source, target, color]")
     fwd: list[dict[int, int]] = [{} for _ in range(nv)]
-    indeg = [0] * nv
+    rank = [0] * nv  # -1 until numbered, for every vertex a cover enters
     for a, b, i in raw_edges:
         if not (0 <= a < nv and 0 <= b < nv and 0 < i < n):
             raise ValueError(f"edge ({a}, {b}, {i}) out of range")
@@ -617,38 +624,20 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
         if b in out.values():  # f_i(a) and f_j(a) differ in weight
             raise ValueError(f"parallel edges from {a} to {b}")
         out[i] = b
-        indeg[b] += 1
+        rank[b] = -1
 
-    sources = [v for v in range(nv) if not indeg[v]]
-    sinks = [v for v in range(nv) if not fwd[v]]
-    rank = [-1] * nv
-    order: list[int] = list(sources)
-    for v in sources:
-        rank[v] = 0
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for i, w in fwd[v].items():
-            if rank[w] == -1:
+    # ranks breadth-first from the sources; a vertex that no source reaches
+    # lies above a directed cycle, and CrystalGraph rejects every other
+    # cycle, as no cycle is graded
+    order = [v for v in range(nv) if not rank[v]]
+    for v in order:  # grows while it is walked
+        for w in fwd[v].values():
+            if rank[w] < 0:
                 rank[w] = rank[v] + 1
-            elif rank[w] != rank[v] + 1:
-                raise ValueError(f"graph is not graded at edge ({v}, {w}, {i})")
-            indeg[w] -= 1
-            if indeg[w] == 0:
                 order.append(w)
     if len(order) != nv:
         raise ValueError("graph has a directed cycle")
-
-    return CrystalGraph(
-        shape=shape,
-        n=n,
-        vertices=vertices,
-        fwd=tuple(fwd),
-        rank=tuple(rank),
-        minimum=sources[0] if len(sources) == 1 else None,
-        maximum=sinks[0] if len(sinks) == 1 else None,
-    )
+    return CrystalGraph(shape=shape, n=n, vertices=vertices, rank=tuple(rank), fwd=tuple(fwd))
 
 
 def tableau_to_string(rows: Tableau) -> str:

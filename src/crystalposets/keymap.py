@@ -32,7 +32,6 @@ class KeyTable:
     """Per-vertex key permutations for one fixed graph, and the derived
     ``fibers``: each key's vertices, increasing."""
 
-    n: int
     keys: tuple[Permutation, ...]
     fibers: dict[Permutation, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
@@ -63,8 +62,7 @@ def compute_keys(graph: CrystalGraph) -> KeyTable:
     (1, 2, 3)
     """
     _minimum(graph)  # the rank rules assume one minimum
-    n = graph.n
-    ident = weyl.identity(n)
+    ident = weyl.identity(graph.n)
     keys: list[Permutation | None] = [None] * len(graph)
     joins: dict[frozenset[Permutation], Permutation] = {}  # lower keys -> their join
     for layer in graph.layers:
@@ -86,7 +84,7 @@ def compute_keys(graph: CrystalGraph) -> KeyTable:
                     keys[v] = keys[u]
                 else:
                     keys[v] = weyl.left_multiply(i, keys[u])
-    return KeyTable(n=n, keys=tuple(keys))
+    return KeyTable(keys=tuple(keys))
 
 
 @dataclass(frozen=True)

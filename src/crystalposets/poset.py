@@ -4,21 +4,22 @@ graphs: interval extraction, Mobius function, saturated chain enumeration,
 the connectivity of chains under square/hexagon moves, Euler-characteristic
 cross-checks, and (non-)lattice witnesses.
 
-Intervals are extracted by one budgeted upward search: the number of
-color-i covers on any chain from u to v is forced by the weight difference,
-so the search from u never leaves the per-color budget.  It numbers the
-tableaux it finds with integer ids and records each cover it takes, and
-the interval is what v reaches back down those covers, so no e_i is ever
-applied.  An interval is itself a :class:`CrystalGraph`
-(local indices, restricted covers, its bottom and top as minimum and
-maximum), built from its upward covers alone, as a generated crystal is;
-that lets the same machinery run on intervals of crystals far too large
-to generate.  :func:`free_interval` also bounds its search by v's entries:
-f_i raises one entry and no operator lowers one, so it applies f_i only
-where the raised cell stays at or below v's entry there.  Every vertex
-and cover of [u, v] lies below v, so the interval is exact and only the
-search shrinks; :func:`interval` on a graph, which need not be a tableau
-crystal, does not use the bound.
+Intervals are extracted by one budgeted upward search: where every
+color-i cover lowers the weight by alpha_i, as in a crystal, the number of
+color-i covers on any chain from u to v is forced by the weight
+difference, so the search from u never leaves the per-color budget.  It
+numbers the tableaux it finds with integer ids and records each cover it
+takes, and the interval is what v reaches back down those covers, so no
+e_i is ever applied.  An interval is itself a :class:`CrystalGraph` (local
+indices, restricted covers), built from its upward covers and ranks alone,
+as a generated crystal is, and the type derives its bottom and top as its
+minimum and maximum; that lets the same machinery run on intervals of
+crystals far too large to generate.  :func:`free_interval` also bounds its
+search by v's entries: f_i raises one entry and no operator lowers one, so
+it applies f_i only where the raised cell stays at or below v's entry
+there.  Every vertex and cover of [u, v] lies below v, so the interval is
+exact and only the search shrinks; :func:`interval` on a graph, which need
+not be a tableau crystal, does not use the bound.
 
 Two analytics pass a small summary per vertex upward in rank order instead
 of enumerating: :func:`mobius_from` (mu from one source to every vertex)
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .crystal import (
@@ -125,9 +126,11 @@ def _extract(
     it takes, keyed by its upper end; [u, v] is the closure of v under
     those recorded covers, and its covers are the recorded ones whose upper
     end it holds.  Local indices go by (rank, tableau), so extraction is
-    deterministic.  Only the upward covers ``fwd`` are built here;
-    :class:`CrystalGraph` inverts them into ``bwd``, which lists each
-    vertex's lower covers by increasing local index.
+    deterministic: one sort of the kept (rank, tableau, id) triples gives
+    the ranks, the vertices and the order at once.  Only the upward covers
+    ``fwd`` are built here; :class:`CrystalGraph` inverts them into
+    ``bwd``, which lists each vertex's lower covers by increasing local
+    index, and derives the bottom and top.
     """
     colors = [i for i, cap in budget.items() if cap]
     keys = [u_key]
@@ -166,9 +169,9 @@ def _extract(
             if not kept[x]:
                 kept[x] = True
                 stack.append(x)
-    tableaux = keys if payload_of is None else list(map(payload_of, keys))
-    ordered = sorted(
-        (x for x in range(len(keys)) if kept[x]), key=lambda x: (rank[x], tableaux[x])
+    tableaux = keys if payload_of is None else map(payload_of, keys)
+    ranks, vertices, ordered = zip(
+        *sorted(compress(zip(rank, tableaux, range(len(keys))), kept))
     )
     local = [0] * len(keys)
     for k, x in enumerate(ordered):
@@ -180,11 +183,9 @@ def _extract(
     return CrystalGraph(
         shape=None,
         n=len(budget) + 1,
-        vertices=tuple(tableaux[x] for x in ordered),
+        vertices=vertices,
+        rank=ranks,
         fwd=tuple(fwd),
-        rank=tuple(rank[x] for x in ordered),
-        minimum=local[0],
-        maximum=local[top],
         budget=budget,
     )
 
@@ -195,7 +196,14 @@ def interval(graph: CrystalGraph, u: int, v: int) -> CrystalGraph | None:
 
     The budget comes from the two tableaux' weights, in the orientation
     whose total is rank[v] - rank[u] (the other one on a reversed view); a
-    graph whose ranks disagree with its weights gets None.
+    graph whose ranks disagree with its weights gets None.  The budget is
+    exact only where every color-i cover lowers the weight by alpha_i, as
+    in a generated crystal, since it counts the color-i covers of every
+    chain from u to v.  On a graph that breaks this, such as an import with
+    a recolored cover, the answer may miss part of [u, v], or be None for a
+    comparable pair, so audit an import with
+    :func:`crystal.check_stembridge_axioms` first: every seeded import
+    mutant in the tests that passes it gets the brute-force interval.
 
     >>> from .crystal import generate
     >>> g = generate((4, 3), 4)

@@ -19,7 +19,7 @@ Orders used throughout:
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Permutation = tuple[int, ...]
 
@@ -187,13 +187,18 @@ def left_descents(w: Permutation) -> frozenset[int]:
     return frozenset(i for i in range(1, len(w)) if pos[i - 1] > pos[i])
 
 
-def permutation_to_string(w: Permutation) -> str:
-    """Serialize: digit string for n <= 9, comma-separated otherwise.
+def permutation_to_string(w: Sequence[int]) -> str:
+    """Serialize a word of positive letters: a digit string when every
+    letter is at most 9, comma-separated otherwise.  A permutation of 1..n
+    in one-line notation is such a word, written as digits exactly when
+    n <= 9; the CLI writes chain labels with it too.
 
     >>> permutation_to_string((2, 4, 1, 3))
     '2413'
+    >>> permutation_to_string((10, 2, 1)), permutation_to_string(())
+    ('10,2,1', '')
     """
-    if len(w) <= 9:
+    if max(w, default=0) <= 9:
         return "".join(str(x) for x in w)
     return ",".join(str(x) for x in w)
 

@@ -293,7 +293,7 @@ def test_axioms_fail_after_edge_recoloring(g21):
                 mutant = graph_from_json(data)
                 report = check_stembridge_axioms(mutant)
                 assert not report.passed
-                assert report.axiom in {"P1", "P3", "P4", "P5", "P6"}
+                assert report.axiom in {"P3", "P4", "P5", "P6"}
                 assert report.vertex is not None
                 return
     pytest.fail("no recolorable edge found")
@@ -369,15 +369,99 @@ def test_axioms_match_oracle_on_matrix(graphs):
 
 def _direct_graph(edges, n=3):
     """A CrystalGraph built without the JSON import's checks; a later edge
-    overwrites an earlier one of the same color out of the same vertex."""
+    overwrites an earlier one of the same color out of the same vertex.
+    The ranks are numbered along the covers in both directions, up one per
+    cover and down one per cover walked backwards, then shifted so each
+    connected piece starts at 0: a graded graph gets its grading (a fresh
+    source sits one rank below its target), and any other is rejected."""
     size = 1 + max(max(a, b) for a, b, _ in edges)
     fwd = [{} for _ in range(size)]
     for a, b, i in edges:
         fwd[a][i] = b
+    links = [[] for _ in range(size)]
+    for a, out in enumerate(fwd):
+        for b in out.values():
+            links[a].append((b, 1))
+            links[b].append((a, -1))
+    rank = [None] * size
+    for start in range(size):
+        if rank[start] is None:
+            rank[start], piece = 0, [start]
+            for x in piece:
+                for y, step in links[x]:
+                    if rank[y] is None:
+                        rank[y] = rank[x] + step
+                        piece.append(y)
+            low = min(rank[x] for x in piece)
+            for x in piece:
+                rank[x] -= low
     return CrystalGraph(
         shape=None, n=n, vertices=tuple(((k + 1,),) for k in range(size)),
-        fwd=tuple(fwd), rank=(0,) * size, minimum=0, maximum=None,
+        rank=tuple(rank), fwd=tuple(fwd),
     )
+
+
+def test_covers_must_raise_the_rank_by_one(g21):
+    # B((2,1),3)'s covers with a rank that disagrees with them: all zero,
+    # or shifted down by one so that the minimum would sit at rank -1
+    def build(rank):
+        return CrystalGraph(shape=(2, 1), n=3, vertices=g21.vertices, rank=rank, fwd=g21.fwd)
+
+    assert build(g21.rank) == g21
+    with pytest.raises(ValueError, match=r"^graph is not graded at edge \(0, 1, 1\)$"):
+        build((0,) * len(g21))
+    with pytest.raises(ValueError, match="^negative rank -1$"):
+        build(tuple(r - 1 for r in g21.rank))
+
+
+def test_colors_outside_the_range_are_rejected(g21):
+    # colors 0 and n = 3 have no operator: the cover 0 -1-> 1 recolored, or
+    # a cover above the top, raises at construction
+    for color in (0, 3):
+        for edges, edge in (
+            ([(0, 1, color), *g21.edges[1:]], (0, 1, color)),
+            ([*g21.edges, (7, 8, color)], (7, 8, color)),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"edge {edge} has a color outside 1..2")):
+                _direct_graph(edges)
+
+
+def test_circuits_are_rejected():
+    # a color-1 circuit 1 -> 2 -> 1 entered from 0 by color 2, circuits of
+    # both colors beside strings, and a color-1 circuit 1 -> 2 -> 3 -> 1
+    # beside the string 0 -> 4: no cover of a circuit can raise the rank
+    for edges in (
+        [(0, 1, 2), (1, 2, 1), (2, 1, 1)],
+        [(0, 3, 1), (1, 4, 2), (4, 1, 2), (2, 5, 1), (5, 2, 1)],
+        [(0, 3, 1), (2, 4, 2), (4, 2, 2), (2, 5, 1), (5, 2, 1)],
+        [(0, 4, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (0, 1, 2), (1, 5, 2)],
+    ):
+        with pytest.raises(ValueError, match="^graph is not graded at edge"):
+            _direct_graph(edges)
+
+
+def test_ends_are_derived_from_the_covers(graphs, g21):
+    # the only vertex with no cover below it and the only one with none
+    # above it, or None where there is not exactly one
+    def sole(adj):
+        ends = [v for v, covers in enumerate(adj) if not covers]
+        return ends[0] if len(ends) == 1 else None
+
+    ends = Counter()
+    for g in graphs.values():
+        assert (g.minimum, g.maximum) == (0, sole(g.fwd))
+        for h in (g, g.reverse()):
+            assert (h.minimum, h.maximum) == (sole(h.bwd), sole(h.fwd))
+    for key in (((2, 1), 3), ((3, 2), 4), ((2, 2), 4)):
+        for h in _mutants(graphs[key]):
+            assert (h.minimum, h.maximum) == (sole(h.bwd), sole(h.fwd))
+            ends[h.minimum is None, h.maximum is None] += 1
+    assert ends[True, False] and ends[False, True]
+    # two sources below one sink; the dual has two sinks
+    g = _direct_graph([(0, 2, 1), (1, 2, 2)])
+    assert (g.minimum, g.maximum) == (None, 2)
+    assert (g.reverse().minimum, g.reverse().maximum) == (2, None)
+    assert (g21.reverse().minimum, g21.reverse().maximum) == (g21.maximum, g21.minimum)
 
 
 def test_a_second_cover_of_one_color_into_a_vertex_is_rejected(g21):
@@ -389,24 +473,6 @@ def test_a_second_cover_of_one_color_into_a_vertex_is_rejected(g21):
         _direct_graph([*g21.edges, (8, 7, 1)])
     # covers of two colors into one vertex are fine
     assert _direct_graph([(0, 2, 1), (1, 2, 2)]).bwd[2] == {1: 0, 2: 1}
-
-
-def test_axioms_report_circuits_like_the_oracle():
-    # a color-1 circuit 1 -> 2 -> 1 entered from 0 by color 2
-    g = _direct_graph([(0, 1, 2), (1, 2, 1), (2, 1, 1)])
-    report = check_stembridge_axioms(g)
-    assert report == oracles.brute_stembridge_axioms(g)
-    assert (report.axiom, report.vertex, report.i) == ("P1", 1, 1)
-    # the witness is the first vertex whose walk does not end, then the
-    # first such color: vertex 1 before vertex 2, color 1 before color 2
-    for edges, witness in (
-        ([(0, 3, 1), (1, 4, 2), (4, 1, 2), (2, 5, 1), (5, 2, 1)], (1, 2)),
-        ([(0, 3, 1), (2, 4, 2), (4, 2, 2), (2, 5, 1), (5, 2, 1)], (2, 1)),
-    ):
-        g = _direct_graph(edges)
-        report = check_stembridge_axioms(g)
-        assert report == oracles.brute_stembridge_axioms(g)
-        assert (report.axiom, report.vertex, report.i) == ("P1", *witness)
 
 
 def test_axioms_report_what_no_single_edge_mutant_reaches():
@@ -429,7 +495,8 @@ def test_axioms_report_what_no_single_edge_mutant_reaches():
 
 def _cut_with_b_first(g, b, cut):
     """The edges of g with each edge in ``cut`` given a fresh source vertex,
-    and the labels of b and 0 swapped, so the checker visits b first."""
+    one rank below its target, and the labels of b and 0 swapped, so the
+    checker visits b first."""
     swap = {b: 0, 0: b}
     fresh = len(g)
     edges = []
@@ -465,25 +532,12 @@ def test_axioms_report_the_first_violation_at_a_vertex(g32):
     assert (report.axiom, report.vertex, report.i, report.j) == ("P4", 0, 1, 3)
 
 
-def test_axioms_ignore_colors_outside_the_range(g21):
-    # colors 0 and 3 of n = 3 have no strings; the checker skips them
-    g = _direct_graph([*g21.edges, (0, 7, 3), (7, 0, 0)])
-    assert check_stembridge_axioms(g) == oracles.brute_stembridge_axioms(g) == AxiomReport(True)
-
-
 def test_string_table_matches_string_stats(graphs):
     for g in [h for g in graphs.values() for h in (g, g.reverse())]:
         rise, depth = string_table(g)
         for v in range(len(g)):
             for i in g.colors:
                 assert oracles.string_stats(g, v, i) == oracles.StringStats(rise[i][v], depth[i][v])
-    # a consistent color-1 circuit 1 -> 2 -> 3 -> 1 beside the string 0 -> 4
-    # and a color-2 string 0 -> 1 -> 5: no walk on the circuit ends, in
-    # either direction, and every other walk does
-    g = _direct_graph([(0, 4, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (0, 1, 2), (1, 5, 2)])
-    rise, depth = string_table(g)
-    assert rise[1] == [1, None, None, None, 0, 0] and depth[1] == [0, None, None, None, -1, 0]
-    assert rise[2] == [2, 1, 0, 0, 0, 0] and depth[2] == [0, -1, 0, 0, 0, -2]
 
 
 def test_local_structure_base_vertex(g43):
@@ -600,8 +654,12 @@ def test_json_import_rejects_duplicates_and_cycles(g21):
         "edges": [[0, 1, 1], [1, 0, 2]],
         "rank": [0, 1],
     }
-    with pytest.raises(ValueError):
+    # no source reaches the cycle; a cycle that one reaches is ungraded
+    with pytest.raises(ValueError, match="^graph has a directed cycle$"):
         graph_from_json(cyclic)
+    reached = {**cyclic, "vertices": [[[1]], [[2]], [[3]]], "edges": [[0, 1, 1], [1, 2, 2], [2, 1, 1]]}
+    with pytest.raises(ValueError, match=r"^graph is not graded at edge \(2, 1, 1\)$"):
+        graph_from_json(reached)
     # each entry below breaks one rule of a valid one-edge graph
     one = {**bad, "edges": [[0, 1, 1]]}
     malformed = [

@@ -94,7 +94,7 @@ def test_key_axioms_fail_on_perturbed_table(keyed):
     )
     keys = list(table.keys)
     keys[victim] = weyl.left_multiply(1, keys[victim])
-    report = check_key_axioms(g, KeyTable(n=table.n, keys=tuple(keys)))
+    report = check_key_axioms(g, KeyTable(keys=tuple(keys)))
     assert not report.passed
     assert report.vertex is not None and report.color is not None
 
@@ -111,7 +111,7 @@ def test_key_axioms_match_oracle_on_one_step_perturbations(keyed):
             for p in g.colors:
                 keys = list(table.keys)
                 keys[v] = weyl.left_multiply(p, keys[v])
-                bad = KeyTable(n=table.n, keys=tuple(keys))
+                bad = KeyTable(keys=tuple(keys))
                 report = check_key_axioms(g, bad)
                 assert report == oracles.length_check_key_axioms(g, bad)
                 details.add(report.detail)
@@ -126,7 +126,7 @@ def test_key_report_names_the_first_color_at_a_vertex(keyed):
     b = g.index[((1, 2), (3,))]
     keys = list(table.keys)
     keys[b] = (1, 3, 2)
-    bad = KeyTable(n=3, keys=tuple(keys))
+    bad = KeyTable(keys=tuple(keys))
     report = check_key_axioms(g, bad)
     assert report == oracles.length_check_key_axioms(g, bad)
     assert report == keymap.KeyReport(False, b, 1, "key changed off the string bottom")
@@ -335,7 +335,7 @@ def test_fiber_structure_error_on_stabilizer_violation(keyed):
     assert fiber_extremes(g, table, {1}) is None
     with pytest.raises(FiberStructureError):
         minimal_fiber_elements(
-            g, KeyTable(n=4, keys=tuple(weyl.identity(4) for _ in range(len(g))))
+            g, KeyTable(keys=tuple(weyl.identity(4) for _ in range(len(g))))
         )
 
 

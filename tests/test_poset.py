@@ -123,6 +123,38 @@ def test_budgeted_extraction_matches_brute_force_everywhere(graphs):
                 assert sorted(itv.edges) == list(itv.edges)
 
 
+def test_interval_needs_covers_that_follow_the_weights(g21):
+    # the budget counts the color-i covers of every chain only where each
+    # color-i cover lowers the weight by alpha_i.  Recoloring the cover
+    # 1 -2-> 3 of B((2,1),3) to 1 breaks that: 0 < 1 < 3, yet the budget of
+    # (0, 3) asks for a color-2 cover, and the axiom checker rejects the graph
+    data = graph_to_json(g21)
+    assert data["edges"][2] == [1, 3, 2]
+    data["edges"][2][2] = 1
+    h = graph_from_json(data)
+    assert oracles.brute_interval_vertices(h, 0, 3) == {0, 1, 3}
+    assert interval(h, 0, 3) is None
+    assert not check_stembridge_axioms(h)
+    # every seeded imported mutant that passes the axioms gets the brute
+    # force interval for every pair (these edits that pass undo themselves)
+    passing = 0
+    for key in (((2, 1), 3), ((3, 2), 4), ((2, 2), 4)):
+        g = generate(*key)
+        for seed in range(40):
+            for h in oracles.imported_mutants(g, seed, 3):
+                if not check_stembridge_axioms(h):
+                    continue
+                passing += 1
+                downs = [oracles.brute_downset(h, v) for v in range(len(h))]
+                for u in range(len(h)):
+                    up = oracles.brute_upset(h, u)
+                    for v in range(len(h)):
+                        itv = interval(h, u, v)
+                        got = set() if itv is None else {h.index[t] for t in itv.vertices}
+                        assert got == up & downs[v]
+    assert passing == 38
+
+
 def _unbounded(u, v, n):
     """[u, v] from the budgeted search with no bound by v's entries."""
     budget = poset._color_budget(weight(u, n), weight(v, n))
@@ -597,6 +629,21 @@ def test_query_path_builds_no_index():
         assert vars(itv)["index"] is itv.index
 
 
+def test_ends_match_the_corpora():
+    # the type's ends are the bottom and top of each corpus interval, and
+    # the only vertex with no cover below or above it in each mutant
+    for itv in _corpus_intervals(400):
+        assert (itv.minimum, itv.maximum) == (0, len(itv) - 1)
+    checked = 0
+    for seed, (shape, n) in enumerate(WHOLE_CASES[:-1]):
+        for h in oracles.imported_mutants(generate(shape, n), seed, 40):
+            sources = [v for v in range(len(h)) if not h.bwd[v]]
+            sinks = [v for v in range(len(h)) if not h.fwd[v]]
+            assert [h.minimum] == sources and [h.maximum] == sinks
+            checked += 1
+    assert checked == 94
+
+
 WHOLE_CASES = (
     ((2, 1), 3), ((3, 2), 4), ((4, 3), 4), ((2, 2), 4), ((3, 1), 5), ((3, 2, 1), 4), ((5, 4), 6),
 )
@@ -757,14 +804,14 @@ def test_refused_chain_cap_builds_no_chain(monkeypatch):
 
 def _five_chain_graph():
     """Span 2 with 5 chains, built directly: a bottom with five covers of
-    colors 1..5, each atom covered by the top in its own color 6..10.  Its
-    budget claims one cover each of colors 1 and 2, which the type does not
-    check: a bound from span! (2) or from the budget's multinomial (2)
-    would let 5 chains through a cap of 4."""
+    colors 1..5, each atom covered by the top in its own color 6..10, so
+    n = 11.  Its budget claims one cover each of colors 1 and 2, which the
+    type does not check: a bound from span! (2) or from the budget's
+    multinomial (2) would let 5 chains through a cap of 4."""
     fwd = [{i: i for i in range(1, 6)}, *({i + 5: 6} for i in range(1, 6)), {}]
     return CrystalGraph(
-        shape=None, n=3, vertices=tuple(((k + 1,),) for k in range(7)), fwd=tuple(fwd),
-        rank=(0, 1, 1, 1, 1, 1, 2), minimum=0, maximum=6, budget={1: 1, 2: 1},
+        shape=None, n=11, vertices=tuple(((k + 1,),) for k in range(7)),
+        rank=(0, 1, 1, 1, 1, 1, 2), fwd=tuple(fwd), budget={1: 1, 2: 1},
     )
 
 
@@ -778,9 +825,8 @@ def test_chain_cap_bound_holds_on_any_graph():
     chains = saturated_chains(g, cap=5)
     assert chains == oracles.brute_saturated_chains(g) and len(chains) == 5
     assert stembridge_components(g, cap=5) == oracles.brute_move_components(g)
-    one = CrystalGraph(
-        shape=None, n=2, vertices=(((1,),),), fwd=({},), rank=(0,), minimum=0, maximum=0,
-    )
+    one = CrystalGraph(shape=None, n=2, vertices=(((1,),),), rank=(0,), fwd=({},))
+    assert (one.minimum, one.maximum) == (0, 0)
     with pytest.raises(ChainCapError, match="^chain cap 0 exceeded$"):
         saturated_chains(one, cap=0)
     assert saturated_chains(one, cap=1) == [((0,), ())]
