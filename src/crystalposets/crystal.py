@@ -16,14 +16,12 @@ whenever T' = f_i(T); viewed as a poset it is graded with a unique minimum
 Every graph is a :class:`CrystalGraph`, built from its upward covers
 ``fwd`` and its ``rank`` alone, and the type is the one place that decides
 what a graph is.  As it derives the downward covers ``bwd`` and the rank
-``layers``, it checks that every cover has a color in 1..n-1 and raises the
-rank by one, so the graph is graded, and that each color is a partial
-bijection (f_i is injective, and e_i is its inverse).  It derives the ends
-``minimum`` and ``maximum`` from the covers, so no caller passes them, and
-none guards against anything the type rejects.  The tableau ``index`` is
-derived from the vertices on first read, except that :func:`generate`
-hands over the dict its search built, so an extracted interval or an
-import whose index is never read builds none.
+``layers``, it checks that the fields have one length, that every cover
+ends at a vertex, has a color in 1..n-1 and raises the rank by one, so the
+graph is graded, and that each color is a partial bijection (e_i inverts
+f_i).  It derives the ends ``minimum`` and ``maximum`` from the covers, so
+no caller passes them, and none guards against anything the type rejects.
+Every graph builds its tableau ``index`` only when it is first read.
 
 Graphs are immutable after generation and all queries are pure, so a graph
 may be shared freely across threads: ``index`` is a function of the
@@ -177,14 +175,15 @@ class CrystalGraph:
     The type is the one place that decides what a graph is.  ``fwd`` holds
     the covers above each vertex by color, and ``rank`` the rank of each
     vertex; everything else is derived.  While it inverts ``fwd`` into
-    ``bwd``, the covers below, the type checks every cover: its color lies
-    in 1..n-1, and it raises the rank by exactly one.  So the graph is
-    graded, and no color string closes into a circuit.  The color-i covers
-    are the operator f_i, and e_i is its inverse, so every color is a
-    partial bijection: a vertex has at most one color-i cover above it and
-    at most one below it.  A negative rank, a cover of another color or
-    rank step, and two covers of one color into one vertex raise
-    ValueError.  String walks are then O(1) per step in either direction.
+    ``bwd``, the covers below, the type checks every cover: it ends at a
+    vertex, its color lies in 1..n-1, and it raises the rank by exactly one.
+    So the graph is graded, and no color string closes into a circuit.  The
+    color-i covers are the operator f_i, and e_i is its inverse, so every
+    color is a partial bijection: a vertex has at most one color-i cover
+    above it and at most one below it.  Unequal field lengths, a negative
+    rank, a cover that breaks a rule above, and two covers of one color into
+    one vertex raise ValueError.  String walks are then O(1) per step in
+    either direction.
 
     ``minimum`` and ``maximum`` are the only vertex with no cover below it
     and the only one with no cover above it, or None where there is not
@@ -224,32 +223,35 @@ class CrystalGraph:
     maximum: int | None = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        rank, n = self.rank, self.n
+        rank, fwd, n, size = self.rank, self.fwd, self.n, len(self.vertices)
+        if len(rank) != size or len(fwd) != size:
+            raise ValueError(f"unequal lengths: vertices {size}, rank {len(rank)}, fwd {len(fwd)}")
         if min(rank, default=0) < 0:
             raise ValueError(f"negative rank {min(rank)}")
         bwd: list[dict[int, int]] = [{} for _ in self.vertices]
         layers: list[list[int]] = [[] for _ in range(max(rank, default=0) + 1)]
-        for a, (out, r) in enumerate(zip(self.fwd, rank)):
+        for a, (out, r) in enumerate(zip(fwd, rank)):
             layers[r].append(a)  # one int object per vertex, shared with bwd
             r += 1
             for i, b in out.items():
+                if not 0 <= b < size:
+                    raise ValueError(f"edge ({a}, {b}, {i}) ends outside 0..{size - 1}")
                 if rank[b] != r:
                     raise ValueError(f"graph is not graded at edge ({a}, {b}, {i})")
                 if not 0 < i < n:
                     raise ValueError(f"edge ({a}, {b}, {i}) has a color outside 1..{n - 1}")
                 bwd[b][i] = a
         # a lost entry is a second cover of its color into one vertex
-        if sum(map(len, bwd)) < sum(map(len, self.fwd)):
+        if sum(map(len, bwd)) < sum(map(len, fwd)):
             raise ValueError("two covers of one color enter one vertex")
         self.bwd = tuple(bwd)
         self.layers = tuple(map(tuple, layers))
         self.minimum = bwd.index({}) if bwd.count({}) == 1 else None
-        self.maximum = self.fwd.index({}) if self.fwd.count({}) == 1 else None
+        self.maximum = fwd.index({}) if fwd.count({}) == 1 else None
 
     @cached_property
     def index(self) -> dict[Tableau, int]:
-        """Tableau -> vertex, built on first read; :func:`generate` sets the
-        dict of its search instead."""
+        """Tableau -> vertex, built from the vertices on first read."""
         return {t: k for k, t in enumerate(self.vertices)}
 
     def __len__(self) -> int:
@@ -295,13 +297,13 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
     """Breadth-first closure of the superstandard tableau under all f_i.
 
     Each vertex asks :func:`_lowering_cell` for the cell that f_i raises
-    from i to i+1, once for each letter i < n it holds, in increasing
-    order (f_i of a tableau without an i is undefined).  Raising the cell
-    can break semistandardness only there: its right neighbour must stay
-    >= i+1 and the cell below it > i+1.  A failed check raises
-    RuntimeError.  More than ``max_vertices`` vertices raise
-    :class:`GraphSizeError`, at once if n is above it and shape has fewer
-    than n rows, as B(shape, n) then has at least n vertices.
+    from i to i+1, once for each letter i < n it holds, in increasing order
+    (f_i of a tableau without an i is undefined).  Raising the cell can
+    break semistandardness only there: its right neighbour must stay >= i+1
+    and the cell below it > i+1.  A failed check raises RuntimeError.  More
+    than ``max_vertices`` vertices raise :class:`GraphSizeError`, at once if
+    n is above it and shape has fewer than n rows, as B(shape, n) then has
+    at least n vertices.  The graph derives ``index`` on first read.
 
     >>> len(generate((2, 1), 3))
     8
@@ -346,7 +348,6 @@ def generate(shape: Shape, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Cr
     graph = CrystalGraph(
         shape=check_shape(shape), n=n, vertices=tuple(vertices), rank=tuple(rank), fwd=tuple(fwd)
     )
-    graph.index = index
     if graph.minimum != 0 or graph.maximum is None:
         raise RuntimeError(f"crystal of {shape} lacks a unique minimum/maximum")
     return graph

@@ -6,11 +6,12 @@ A fiber's induced order and its extremes are read off one down-set pass
 over the fiber (``poset._down_sets``), with no pairwise order test.
 
 The recursion fills the table rank by rank: the minimum gets the identity,
-atoms get their edge's simple reflection, a vertex covering two or more
-elements gets the left weak join of the keys below, and a vertex with a
-unique cover keeps or bumps the key below depending on whether the cover
-sits at the bottom of its color string.  Within one rank the five rules are
-independent of processing order.
+a vertex covering two or more elements gets the left weak join of the keys
+below, and a vertex with a unique cover keeps or bumps the key below
+depending on whether the cover sits at the bottom of its color string.  An
+atom's cover always does, as the minimum has no cover below it, so the
+bump gives an atom its edge's simple reflection with no rule of its own.
+Within one rank the four rules are independent of processing order.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class FiberStructureError(RuntimeError):
 
 
 def compute_keys(graph: CrystalGraph) -> KeyTable:
-    """Fill the key table by the five structural rules, layer by layer
+    """Fill the key table by the four structural rules, layer by layer
     up ``graph.layers``, with no sort.
 
     >>> from .crystal import generate
@@ -70,9 +71,6 @@ def compute_keys(graph: CrystalGraph) -> KeyTable:
             below = sorted(graph.bwd[v].items())  # (color, lower vertex)
             if not below:
                 keys[v] = ident
-            elif graph.rank[v] == 1:
-                i, _ = below[0]
-                keys[v] = weyl.left_multiply(i, ident)
             elif len(below) >= 2:
                 lower = frozenset(keys[u] for _, u in below)
                 if (joined := joins.get(lower)) is None:

@@ -19,7 +19,8 @@ search by v's entries: f_i raises one entry and no operator lowers one, so
 it applies f_i only where the raised cell stays at or below v's entry
 there.  Every vertex and cover of [u, v] lies below v, so the interval is
 exact and only the search shrinks; :func:`interval` on a graph, which need
-not be a tableau crystal, does not use the bound.
+not be a tableau crystal, does not use the bound, and is exact only
+where the weights follow the covers.
 
 Two analytics pass a small summary per vertex upward in rank order instead
 of enumerating: :func:`mobius_from` (mu from one source to every vertex)
@@ -41,17 +42,17 @@ first counts the chains and checks the count against the cap before
 any prefix or suffix is built.
 :func:`saturated_chains` is that list alone; :func:`stembridge_components`
 adds the class pass and, only where the top has two or more classes,
-walks each chain's class up the class table.
+walks each chain's class up the class table by :func:`_top_class`.
 
 Dense down-set masks (the Euler check, the key fibers, and on the reversed
 graph the up-sets of the s8 certificate) come from one pass,
-:func:`_down_sets`, and breadth-first up-sets from :func:`_upset`.
+:func:`_down_sets`, and rank-ordered up-sets from :func:`_upset`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, compress
 from typing import Callable, Hashable, NamedTuple, Sequence
 
@@ -197,13 +198,13 @@ def interval(graph: CrystalGraph, u: int, v: int) -> CrystalGraph | None:
     The budget comes from the two tableaux' weights, in the orientation
     whose total is rank[v] - rank[u] (the other one on a reversed view); a
     graph whose ranks disagree with its weights gets None.  The budget is
-    exact only where every color-i cover lowers the weight by alpha_i, as
-    in a generated crystal, since it counts the color-i covers of every
-    chain from u to v.  On a graph that breaks this, such as an import with
-    a recolored cover, the answer may miss part of [u, v], or be None for a
-    comparable pair, so audit an import with
-    :func:`crystal.check_stembridge_axioms` first: every seeded import
-    mutant in the tests that passes it gets the brute-force interval.
+    exact only where the weights follow the covers, every color-i cover
+    lowering the weight by alpha_i as in a generated crystal, since it
+    counts the color-i covers of every chain from u to v.  Elsewhere, as on
+    an import with a recolored cover, the answer may miss part of [u, v] or
+    be None for a comparable pair.  :func:`crystal.check_stembridge_axioms`
+    reads the covers and not the tableaux, so it cannot vouch for an import:
+    a crystal's tableaux shuffled among its vertices pass it.
 
     >>> from .crystal import generate
     >>> g = generate((4, 3), 4)
@@ -286,20 +287,14 @@ def mobius_from(graph: CrystalGraph, source: int) -> list[int]:
 
 
 def _mobius_upset(graph: CrystalGraph, source: int) -> tuple[list[int], list[int]]:
-    """The up-set of source in rank order, and the values of
-    :func:`mobius_from`, which are 0 off that up-set."""
+    """The up-set of source in rank order, from :func:`_upset`, and the
+    values of :func:`mobius_from`, which are 0 off that up-set."""
+    order = _upset(graph, source)
     mu = [0] * len(graph)
     down = [0] * len(graph)
-    seen = [False] * len(graph)
-    seen[source] = True
-    order = [source]  # the up-set, grown while it is walked
     owner: list[int] = []  # owner[k] is the vertex holding bit k
-    fwd, bwd = graph.fwd, graph.bwd
+    bwd = graph.bwd
     for z in order:
-        for w in fwd[z].values():
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
         mask = 0
         for y in bwd[z].values():
             mask |= down[y]
@@ -605,22 +600,34 @@ def move_classes_from(graph: CrystalGraph, source: int) -> list[int]:
     return _move_classes(graph, source)[0]
 
 
+def _top_class(
+    itv: CrystalGraph, carry: list[dict[int, list[int]]], labels: Sequence[int]
+) -> int | None:
+    """The class at the top of the chain from the bottom with these labels,
+    or None if there is no such chain, walked up the table ``carry`` of
+    :func:`_move_classes`: ``k = carry[w][a][k]`` along each cover a -> w."""
+    a, k = itv.minimum, 0
+    for i in labels:
+        if (w := itv.fwd[a].get(i)) is None:
+            return None
+        a, k = w, carry[w][a][k]
+    return k if a == itv.maximum else None
+
+
 def _class_summaries(
     itv: CrystalGraph, cap: int
 ) -> tuple[list[tuple[int, tuple[int, ...]]], Callable[[tuple[int, ...]], int | None]]:
     """(chain count, least label sequence) of each move class at the top of
-    ``itv``, indexed by its class id there, and ``class_of``: the labels of
-    a chain from the bottom -> that chain's class id at the top, or None if
-    no such chain exists.  Both read the class table of
-    :func:`_move_classes` from the bottom, so callers never index it.
+    ``itv``, indexed by its class id there, and ``class_of``: :func:`_top_class`
+    on this pass's class table, so callers never index it.
 
     One more pass up the layers above the bottom, with no sort: a class
     at z gathers the classes j at each lower cover a that ``carry[z][a]``
     sends to it, adding their chain counts and taking the least of their
     least labels, each extended by the color of a -> z.  Label sequences
-    to z all have one length, so that extension keeps the order.  More than ``cap`` chains raise
-    :class:`ChainCapError`, and a graph without a unique minimum or maximum
-    raises ValueError.
+    to z all have one length, so that extension keeps the order.  More
+    than ``cap`` chains raise :class:`ChainCapError`, and a graph without a
+    unique minimum or maximum raises ValueError.
     """
     bottom, top = _ends(itv)
     count, carry = _move_classes(itv, bottom)
@@ -638,18 +645,7 @@ def _class_summaries(
             summary[z] = [(size, (*labels, i)) for size, (labels, i) in zip(sizes, least)]
     if sum(size for size, _ in summary[top]) > cap:
         raise ChainCapError(f"chain cap {cap} exceeded")
-
-    def class_of(labels: tuple[int, ...]) -> int | None:
-        """The move class at the top of the chain with these labels, from
-        the bottom through the class table; None if there is no such chain."""
-        v, k = bottom, 0
-        for i in labels:
-            if (w := itv.fwd[v].get(i)) is None:
-                return None
-            v, k = w, carry[w][v][k]
-        return k if v == top else None
-
-    return summary[top], class_of
+    return summary[top], partial(_top_class, itv, carry)
 
 
 def move_class_summary(itv: CrystalGraph, cap: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -677,14 +673,13 @@ def stembridge_components(
     of :func:`saturated_chains`, split at the middle rank (see
     :func:`_chains`); no class is carried while they are listed.  A chain's
     component is its move class at the top.  When the top has one class,
-    every chain is in it; otherwise each chain walks its class up the
-    table, ``c = carry[w][a][c]`` along each of its covers a -> w.  More
-    than ``MOVE_CLASS_CAP`` class records raise :class:`ChainCapError`, and
-    so do more than ``cap`` chains, after the class pass and before any
-    prefix, suffix or chain is built; they are counted only where the
-    largest out-degree to the power of the span exceeds ``cap``, as in
-    :func:`saturated_chains`.  A graph without a unique minimum or maximum
-    raises ValueError.
+    every chain is in it; otherwise :func:`_top_class` walks each chain's
+    class up the table.  More than ``MOVE_CLASS_CAP`` class records raise
+    :class:`ChainCapError`, and so do more than ``cap`` chains, after the
+    class pass and before any prefix, suffix or chain is built; they are
+    counted only where the largest out-degree to the power of the span
+    exceeds ``cap``, as in :func:`saturated_chains`.  A graph without a
+    unique minimum or maximum raises ValueError.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> chains, components = stembridge_components(itv)
@@ -698,28 +693,33 @@ def stembridge_components(
         return chains, [list(range(len(chains)))]
     members: dict[int, list[int]] = {}  # class at the top -> chain indices
     for k, chain in enumerate(chains):
-        c = 0
-        path = chain.vertices
-        for a, w in zip(path, path[1:]):
-            c = carry[w][a][c]
-        members.setdefault(c, []).append(k)
+        members.setdefault(_top_class(itv, carry, chain.labels), []).append(k)
     # each list is increasing, so sorting orders them by first chain
     return chains, sorted(members.values())
 
 
 # -- upper bounds and witnesses ---------------------------------------------
 
-def _upset(graph: CrystalGraph, s: int) -> set[int]:
-    """Every vertex weakly above s, by breadth-first search up the covers."""
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for y in graph.fwd[x].values():
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+def _upset(graph: CrystalGraph, s: int) -> list[int]:
+    """Every vertex weakly above s, by breadth-first search up the covers,
+    in rank order: every cover raises the rank by one, so the search
+    reaches each vertex at its rank difference from s.
+
+    >>> from .crystal import generate
+    >>> dual = generate((2, 1), 3).reverse()
+    >>> [(x, dual.rank[x]) for x in _upset(dual, 7)]
+    [(7, 0), (5, 1), (6, 1), (3, 2), (4, 2), (1, 3), (2, 3), (0, 4)]
+    """
+    seen = [False] * len(graph)
+    seen[s] = True
+    order = [s]  # the up-set, grown while it is walked
+    fwd = graph.fwd
+    for x in order:
+        for y in fwd[x].values():
+            if not seen[y]:
+                seen[y] = True
+                order.append(y)
+    return order
 
 
 def minimal_upper_bounds(graph: CrystalGraph, a: int, b: int) -> list[int]:
@@ -727,7 +727,7 @@ def minimal_upper_bounds(graph: CrystalGraph, a: int, b: int) -> list[int]:
     Minimality needs no search beyond lower covers because common upper
     bounds form an up-set.
     """
-    common = _upset(graph, a) & _upset(graph, b)
+    common = set(_upset(graph, a)).intersection(_upset(graph, b))
     return sorted(
         z for z in common if not any(p in common for p in graph.bwd[z].values())
     )

@@ -414,6 +414,40 @@ def test_covers_must_raise_the_rank_by_one(g21):
         build(tuple(r - 1 for r in g21.rank))
 
 
+def test_fields_must_have_one_length(g21):
+    # a rank or a cover dict too few or too many raises, where zip would
+    # stop at the shorter and leave a vertex in no layer
+    line = (((1,),), ((2,),))
+    with pytest.raises(ValueError, match="^unequal lengths: vertices 2, rank 1, fwd 2$"):
+        CrystalGraph(None, 2, line, (0,), ({}, {}))
+    with pytest.raises(ValueError, match="^unequal lengths: vertices 2, rank 2, fwd 1$"):
+        CrystalGraph(None, 2, line, (0, 1), ({1: 1},))
+    with pytest.raises(ValueError, match="^unequal lengths: vertices 1, rank 2, fwd 2$"):
+        CrystalGraph(None, 2, line[:1], (0, 1), ({1: 1}, {}))
+    for cut in (lambda t: t[:-1], lambda t: t + t[-1:]):
+        for field in ("vertices", "rank", "fwd"):
+            fields = {"vertices": g21.vertices, "rank": g21.rank, "fwd": g21.fwd}
+            fields[field] = cut(fields[field])
+            with pytest.raises(ValueError, match="^unequal lengths: "):
+                CrystalGraph(shape=(2, 1), n=3, **fields)
+
+
+def test_cover_targets_must_be_vertices(g21):
+    # a target below 0 would be read as an index from the end, and one at
+    # len or above would raise IndexError; both raise ValueError naming the
+    # edge, before its rank is read
+    line = (((1,),), ((2,),))
+    for target in (-1, -2, 2, 9):
+        edge = re.escape(f"edge (0, {target}, 1)")
+        with pytest.raises(ValueError, match=f"^{edge} ends outside 0..1$"):
+            CrystalGraph(None, 2, line, (0, 1), ({1: target}, {}))
+    for target in (-1, len(g21)):  # a cover above the top
+        fwd = (*g21.fwd[:7], {1: target})
+        edge = re.escape(f"edge (7, {target}, 1)")
+        with pytest.raises(ValueError, match=f"^{edge} ends outside 0..7$"):
+            CrystalGraph(shape=(2, 1), n=3, vertices=g21.vertices, rank=g21.rank, fwd=fwd)
+
+
 def test_colors_outside_the_range_are_rejected(g21):
     # colors 0 and n = 3 have no operator: the cover 0 -1-> 1 recolored, or
     # a cover above the top, raises at construction
@@ -604,14 +638,15 @@ def test_json_round_trip(g32):
 
 
 def test_index_is_derived_on_first_read():
-    # generate hands over the dict of its search; an import builds its
-    # index only when it is read, and both equal the vertex order, which
-    # determines them, so == ignores them
+    # a generated graph and an import alike build their index only when it
+    # is read, and both equal the vertex order, which determines them, so
+    # == ignores them
     g = generate((3, 2), 4)
-    assert "index" in vars(g)
+    assert "index" not in vars(g)
     back = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
     assert "index" not in vars(back) and back == g
     assert back.index == g.index == {t: k for k, t in enumerate(g.vertices)}
+    assert vars(g)["index"] is g.index
     assert back == g
 
 

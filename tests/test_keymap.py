@@ -37,11 +37,19 @@ def fiber_views(graphs):
     return views
 
 
-def test_minimum_and_atoms(keyed):
-    for (shape, n), (g, table) in keyed.items():
-        assert table[g.minimum] == weyl.identity(n)
-        for i, atom in g.fwd[g.minimum].items():
-            assert table[atom] == weyl.left_multiply(i, weyl.identity(n))
+def test_minimum_and_atoms(fiber_views):
+    # an atom covers only the minimum, which has no cover below it, so the
+    # unique-cover rule bumps the identity to s_i, i the cover's color; on
+    # every matrix crystal and its reverse, and two more
+    for h, table in fiber_views:
+        assert table[h.minimum] == weyl.identity(h.n)
+        assert h.layers[1]
+        for atom in h.layers[1]:
+            [(i, bottom)] = h.bwd[atom].items()
+            assert bottom == h.minimum
+            s_i = list(range(1, h.n + 1))
+            s_i[i - 1 : i + 1] = i + 1, i
+            assert table[atom] == tuple(s_i)
 
 
 def test_specific_atom_key(keyed):

@@ -153,6 +153,27 @@ def test_interval_needs_covers_that_follow_the_weights(g21):
                         got = set() if itv is None else {h.index[t] for t in itv.vertices}
                         assert got == up & downs[v]
     assert passing == 38
+    # the checker reads the covers, not the tableaux: the tableaux of
+    # B((2,1),3) shuffled among its vertices pass it, yet their weights no
+    # longer follow the covers, and 315 of the 1,280 pairs of these 20
+    # imports get None although comparable; none gets a wrong interval
+    wrong = 0
+    for seed in range(20):
+        data = graph_to_json(g21)
+        random.Random(seed).shuffle(data["vertices"])
+        h = graph_from_json(data)
+        assert h.vertices != g21.vertices and h.fwd == g21.fwd
+        assert check_stembridge_axioms(h)
+        for u in range(len(h)):
+            up = oracles.brute_upset(h, u)
+            for v in range(len(h)):
+                itv = interval(h, u, v)
+                if itv is None and up & oracles.brute_downset(h, v):
+                    wrong += 1
+                else:
+                    got = set() if itv is None else {h.index[t] for t in itv.vertices}
+                    assert got == up & oracles.brute_downset(h, v)
+    assert wrong == 315
 
 
 def _unbounded(u, v, n):
@@ -378,6 +399,20 @@ def test_mobius_from_reads_only_the_upset(g43):
         logged.bwd = tuple(_ReadLog(c, v, read) for v, c in enumerate(h.bwd))
         assert mobius_from(logged, source) == mobius_from(h, source)
         assert read == upset
+
+
+def test_upset_lists_the_brute_upset_in_rank_order(graphs):
+    # the one up-set walk: from every source of every matrix crystal and its
+    # dual, each vertex of the brute-force up-set once, the source first and
+    # the ranks never falling, so each vertex follows its lower covers there
+    for g in graphs.values():
+        for h in (g, g.reverse()):
+            for source in range(len(h)):
+                up = poset._upset(h, source)
+                assert up[0] == source and len(set(up)) == len(up)
+                assert set(up) == oracles.brute_upset(h, source)
+                ranks = [h.rank[x] for x in up]
+                assert ranks == sorted(ranks)
 
 
 @pytest.mark.parametrize("key", DEFAULT_MATRIX)
@@ -616,6 +651,27 @@ CORPUS_DIGEST = "0ea8515bffeda2dd04e83afbad29a587577786a760254b114b27a1bdfaac4f0
 def test_recorded_query_corpus():
     # 400 queries: 28,414 chains, 8 queries with two or more components
     assert _query_corpus(400) == (CORPUS_DIGEST, 28414, 8)
+
+
+def test_class_walk_groups_the_chains_as_the_components():
+    # the class_of walk that s2 reads is the walk stembridge_components
+    # groups its chains by: on the 400 corpus intervals, 8 of whose tops
+    # have two or more classes, it puts each chain in its component, and
+    # labels that end below the top or leave the covers get None
+    multi = 0
+    for itv in _corpus_intervals(400):
+        chains, components = stembridge_components(itv)
+        classes, class_of = poset._class_summaries(itv, poset.DEFAULT_CHAIN_CAP)
+        members = {}
+        for k, chain in enumerate(chains):
+            members.setdefault(class_of(chain.labels), []).append(k)
+        assert sorted(members) == list(range(len(classes)))
+        assert sorted(members.values()) == components
+        if itv.span:  # a walk can stop at the lowest tableau
+            assert class_of(chains[0].labels[:-1]) is None
+            assert class_of((itv.n, *chains[0].labels[1:])) is None
+        multi += len(components) >= 2
+    assert multi == 8
 
 
 def test_query_path_builds_no_index():
