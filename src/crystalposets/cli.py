@@ -124,7 +124,7 @@ def _cmd_generate(args) -> int:
     else:
         print(
             f"B({args.shape}, n={args.n}): {len(graph)} vertices, "
-            f"{len(graph.edges)} edges, rank sizes {list(graph.rank_sizes())}"
+            f"{sum(map(len, graph.fwd))} edges, rank sizes {list(graph.rank_sizes())}"
         )
     return 0
 

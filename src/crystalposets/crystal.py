@@ -555,11 +555,13 @@ def local_structure(graph: CrystalGraph, u: int, i: int, j: int) -> LocalStructu
 def graph_to_json(graph: CrystalGraph) -> dict:
     """Schema: shape, n, vertices as rows-of-rows, [src, dst, color] edges
     in the order of :attr:`CrystalGraph.edges`, and the rank vector; vertex
-    order is generation order."""
+    order is generation order.  ``"vertices"`` lists the graph's own tableau
+    tuples, which ``json.dumps`` writes as arrays, so the export copies no
+    tableau; the edges are fresh lists, which a caller may edit."""
     return {
         "shape": list(graph.shape) if graph.shape else None,
         "n": graph.n,
-        "vertices": [list(map(list, t)) for t in graph.vertices],
+        "vertices": list(graph.vertices),
         "edges": [[a, b, i] for a, out in enumerate(graph.fwd) for i, b in out.items()],
         "rank": list(graph.rank),
     }
@@ -579,44 +581,55 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     color into one vertex, and derives the ends; anything deeper is the
     axiom checker's job.  Only a missing or null ``shape`` means no shape:
     any other value must be a valid one.
+
+    One copy of the graph is held at a time.  The edges are checked and
+    unpacked as parsed, with no copy of the list.  Once converted, the
+    parsed vertices are dropped, and the parsed edges once ``fwd`` is built;
+    a dict passed in keeps them and is never mutated.  Equal rows share one
+    tuple, as in a generated graph.
     """
     if isinstance(data, str):
         data = json.loads(data)
     try:
         n = data["n"]
-        vertices = tuple(tuple(map(tuple, t)) for t in data["vertices"])
-        raw_edges = list(map(tuple, data["edges"]))
+        raw = data["vertices"]
+        kinds = set(map(type, chain.from_iterable(chain.from_iterable(raw))))
+        edges = data["edges"]
+        kinds.update(map(type, chain.from_iterable(edges)))
         shape = data.get("shape")
         if shape is not None:
             shape = tuple(shape)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed crystal graph JSON: {exc!r}") from exc
+    del data  # a parsed text is held by raw and edges alone
 
-    def entries():
-        return chain.from_iterable(chain.from_iterable(vertices))
-
-    kinds = set(map(type, entries()))
-    kinds.update(map(type, chain.from_iterable(raw_edges)))
     kinds.update(map(type, (n, *(shape or ()))))
     if kinds - {int}:
         raise ValueError("shape, n, tableau entries and edges must be JSON integers")
+    row = {}.setdefault  # one tuple per distinct row
+    vertices = tuple(tuple([row(r, r) for r in map(tuple, t)]) for t in raw)
+    del raw
     if not 1 <= n <= DEFAULT_VERTEX_CAP:
         raise ValueError(f"n must lie in 1..{DEFAULT_VERTEX_CAP}, got {n}")
     if shape is not None:
         check_shape(shape)
         if any(tuple(map(len, t)) != shape for t in vertices):
             raise ValueError(f"a tableau's rows do not match shape {shape}")
+
+    def entries():
+        return chain.from_iterable(chain.from_iterable(vertices))
+
     if not 1 <= min(entries(), default=1) <= max(entries(), default=1) <= n:
         raise ValueError(f"tableau entries must lie in 1..{n}")
     nv = len(vertices)
     if len(set(vertices)) != nv:
         raise ValueError("a tableau is repeated among the vertices")
-    if set(map(len, raw_edges)) - {3}:
-        edge = next(e for e in raw_edges if len(e) != 3)
+    if set(map(len, edges)) - {3}:
+        edge = next(e for e in edges if len(e) != 3)
         raise ValueError(f"edge {list(edge)} must be [source, target, color]")
     fwd: list[dict[int, int]] = [{} for _ in range(nv)]
     rank = [0] * nv  # -1 until numbered, for every vertex a cover enters
-    for a, b, i in raw_edges:
+    for a, b, i in edges:
         if not (0 <= a < nv and 0 <= b < nv and 0 < i < n):
             raise ValueError(f"edge ({a}, {b}, {i}) out of range")
         out = fwd[a]
@@ -626,6 +639,7 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
             raise ValueError(f"parallel edges from {a} to {b}")
         out[i] = b
         rank[b] = -1
+    del edges
 
     # ranks breadth-first from the sources; a vertex that no source reaches
     # lies above a directed cycle, and CrystalGraph rejects every other

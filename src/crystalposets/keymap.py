@@ -68,16 +68,16 @@ def compute_keys(graph: CrystalGraph) -> KeyTable:
     joins: dict[frozenset[Permutation], Permutation] = {}  # lower keys -> their join
     for layer in graph.layers:
         for v in layer:
-            below = sorted(graph.bwd[v].items())  # (color, lower vertex)
+            below = graph.bwd[v]  # color -> lower vertex
             if not below:
                 keys[v] = ident
             elif len(below) >= 2:
-                lower = frozenset(keys[u] for _, u in below)
+                lower = frozenset(keys[u] for u in below.values())
                 if (joined := joins.get(lower)) is None:
                     joined = joins[lower] = weyl.left_weak_join(lower)
                 keys[v] = joined
             else:
-                i, u = below[0]
+                [(i, u)] = below.items()
                 if graph.bwd[u].get(i) is not None:
                     keys[v] = keys[u]
                 else:

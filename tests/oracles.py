@@ -23,7 +23,8 @@ relation), as the reference for the package's down-set masks, and the
 Demazure subcrystals are built by the classical f_i-string recursion over
 S_n, which reads no key.  The seeded import mutants (``imported_mutants``)
 that the axiom checker and the move-class pass are compared on come from
-here too.
+here too, and so does the list-based graph export that the package's
+tuple-sharing export must render byte for byte (``list_graph_to_json``).
 """
 
 from __future__ import annotations
@@ -738,6 +739,19 @@ def brute_move_components(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP)
                     queue.append(m)
         components.append(sorted(comp))
     return chains, components
+
+
+def list_graph_to_json(graph: CrystalGraph) -> dict:
+    """The graph export with every tableau copied into lists of lists and
+    the edges read off ``graph.edges``: the reference for the text of
+    ``graph_to_json``, which lists the graph's own tableau tuples."""
+    return {
+        "shape": list(graph.shape) if graph.shape else None,
+        "n": graph.n,
+        "vertices": [list(map(list, t)) for t in graph.vertices],
+        "edges": [list(e) for e in graph.edges],
+        "rank": list(graph.rank),
+    }
 
 
 def imported_mutants(g: CrystalGraph, seed: int, count: int):

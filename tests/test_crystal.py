@@ -1,9 +1,11 @@
 """Tableaux, operators, graph generation, and the local-structure checker."""
 
 import dataclasses
+import gc
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from copy import deepcopy
 from itertools import combinations
@@ -651,13 +653,20 @@ def test_index_is_derived_on_first_read():
 
 
 def test_json_export_lists_edges_in_edges_order(graphs):
-    # the export reads fwd itself; on a reversed view fwd is the primal's bwd
+    # the export reads fwd itself; on a reversed view fwd is the primal's bwd.
+    # It lists the graph's own tableau tuples, and its text is the
+    # list-based rendering's, byte for byte
     g = graphs[((4, 3), 4)]
     [(u, v)] = oracles.comparable_pairs_sample(g, 1, seed=27)
     itv = interval(g, u, v)
     assert len(itv.edges) > len(itv) > 2
     for h in [h for g in graphs.values() for h in (g, g.reverse())] + [itv]:
-        assert graph_to_json(h)["edges"] == [list(e) for e in h.edges]
+        data = graph_to_json(h)
+        assert data["edges"] == [list(e) for e in h.edges]
+        assert all(t is s for t, s in zip(data["vertices"], h.vertices, strict=True))
+        reference = oracles.list_graph_to_json(h)
+        for sort_keys in (False, True):
+            assert json.dumps(data, sort_keys=sort_keys) == json.dumps(reference, sort_keys=sort_keys)
 
 
 def test_json_import_rejects_duplicates_and_cycles(g21):
@@ -796,16 +805,31 @@ def _mutate(rng, data):
         node[key] = deepcopy(rng.choice(_FUZZ_VALUES))
 
 
-def test_json_import_fuzz_raises_only_value_error(g21):
-    """Seeded mutations of an export: each loads or raises ValueError,
-    never another exception (a huge n used to raise OverflowError)."""
-    text = json.dumps(graph_to_json(g21))
+def _fuzz_documents(g):
+    """6,000 seeded mutations of g's export, one or two each."""
+    text = json.dumps(graph_to_json(g))
     rng = random.Random(2024)
-    outcomes = {"loaded": 0, "rejected": 0}
     for _ in range(6000):
         data = json.loads(text)
         for _ in range(rng.randrange(1, 3)):
             _mutate(rng, data)
+        yield data
+
+
+def _import_outcome(data):
+    """The fields of the imported graph, or the ValueError's message."""
+    try:
+        h = graph_from_json(data)
+    except ValueError as exc:
+        return str(exc)
+    return h.shape, h.n, h.vertices, h.rank, h.fwd
+
+
+def test_json_import_fuzz_raises_only_value_error(g21):
+    """Seeded mutations of an export: each loads or raises ValueError,
+    never another exception (a huge n used to raise OverflowError)."""
+    outcomes = {"loaded": 0, "rejected": 0}
+    for data in _fuzz_documents(g21):
         try:
             graph_from_json(data)
         except ValueError:
@@ -813,6 +837,45 @@ def test_json_import_fuzz_raises_only_value_error(g21):
         else:
             outcomes["loaded"] += 1
     assert min(outcomes.values()) > 100, outcomes
+
+
+def test_json_import_treats_text_and_dicts_alike(g21):
+    # the import drops what it parsed from a text as it goes, but never
+    # edits a dict passed in: both give one graph, or one message
+    loaded = 0
+    for data in _fuzz_documents(g21):
+        before = deepcopy(data)
+        outcome = _import_outcome(data)
+        assert data == before
+        assert _import_outcome(json.dumps(data)) == outcome
+        loaded += not isinstance(outcome, str)
+    assert loaded > 100
+
+
+def test_json_import_shares_equal_rows(graphs):
+    # one tuple per distinct row, as generate's _replace leaves them
+    for g in graphs.values():
+        text = json.dumps(graph_to_json(g))
+        for h in (graph_from_json(text), graph_from_json(json.loads(text))):
+            assert h.vertices == g.vertices
+            rows = [r for t in h.vertices for r in t]
+            assert len(set(map(id, rows))) == len(set(rows))
+
+
+def test_json_import_holds_one_copy():
+    # the tracemalloc peak of importing B((5,4),6)'s text, over what the
+    # graph keeps: 5.24 MiB while the import kept the parsed lists and a
+    # copy of the edges, 0.90 MiB since it drops them as it goes
+    text = json.dumps(graph_to_json(generate((5, 4), 6)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        h = graph_from_json(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(h) == 5880
+    assert peak - kept < 2 * 2**20
 
 
 def test_dot_export(g21):
