@@ -164,10 +164,10 @@ def _cmd_chains(args) -> int:
     else:
         chains = poset.saturated_chains(itv, cap=args.cap)
         if args.format == "json":
-            print(json.dumps([list(c.labels) for c in chains]))
+            print(json.dumps(chains))
         else:
             for c in chains:
-                print(weyl.permutation_to_string(c.labels))
+                print(weyl.permutation_to_string(c))
     return 0
 
 

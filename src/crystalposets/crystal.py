@@ -586,7 +586,8 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
     unpacked as parsed, with no copy of the list.  Once converted, the
     parsed vertices are dropped, and the parsed edges once ``fwd`` is built;
     a dict passed in keeps them and is never mutated.  Equal rows share one
-    tuple, as in a generated graph.
+    tuple, and the covers into one vertex share one int object, as in a
+    generated graph.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -629,6 +630,7 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
         raise ValueError(f"edge {list(edge)} must be [source, target, color]")
     fwd: list[dict[int, int]] = [{} for _ in range(nv)]
     rank = [0] * nv  # -1 until numbered, for every vertex a cover enters
+    ids = list(range(nv))  # one int object per vertex, shared by its covers
     for a, b, i in edges:
         if not (0 <= a < nv and 0 <= b < nv and 0 < i < n):
             raise ValueError(f"edge ({a}, {b}, {i}) out of range")
@@ -637,9 +639,9 @@ def graph_from_json(data: dict | str) -> CrystalGraph:
             raise ValueError(f"duplicate color-{i} edge at ({a}, {b})")
         if b in out.values():  # f_i(a) and f_j(a) differ in weight
             raise ValueError(f"parallel edges from {a} to {b}")
-        out[i] = b
+        out[i] = ids[b]
         rank[b] = -1
-    del edges
+    del edges, ids
 
     # ranks breadth-first from the sources; a vertex that no source reaches
     # lies above a directed cycle, and CrystalGraph rejects every other

@@ -34,15 +34,18 @@ cover carries one class, as everywhere in a lower interval, it unions the
 covers themselves; elsewhere it runs union-find over per-class records.
 :func:`move_class_summary` makes one more rank-order pass over that table
 to get each class's chain count and least label sequence, so the
-chain-move components are summarized without listing a chain.  Chains
-are listed in one place, :func:`_chains`: each is a prefix from the bottom
-joined at the middle rank to a suffix to the top.  Where the largest
-out-degree to the power of the span exceeds the cap, one integer pass
-first counts the chains and checks the count against the cap before
-any prefix or suffix is built.
-:func:`saturated_chains` is that list alone; :func:`stembridge_components`
-adds the class pass and, only where the top has two or more classes,
-walks each chain's class up the class table by :func:`_top_class`.
+chain-move components are summarized without listing a chain.
+
+A saturated chain is its word of cover colors, the f_i applied from the
+bottom: at most one color-i cover leaves a vertex, so the word fixes every
+vertex.  Chains are listed in one place, :func:`_chains`: each is a
+prefix from the bottom joined at the middle rank to a suffix to the top.
+Where the largest out-degree to the power of the span exceeds the cap,
+one integer pass first counts the chains and checks the count against
+the cap before any prefix or suffix is built.  :func:`saturated_chains`
+is that list alone; :func:`stembridge_components` adds the class pass
+and, only where the top has two or more classes, walks each chain's
+labels up the class table by :func:`_top_class`.
 
 Dense down-set masks (the Euler check, the key fibers, and on the reversed
 graph the up-sets of the s8 certificate) come from one pass,
@@ -54,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, compress
-from typing import Callable, Hashable, NamedTuple, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .crystal import (
     DEFAULT_VERTEX_CAP,
@@ -399,19 +402,7 @@ def euler_mobius(itv: CrystalGraph) -> int:
 
 # -- saturated chains and chain moves ---------------------------------------
 
-class SaturatedChain(NamedTuple):
-    """A maximal chain through an interval, as local vertex indices plus the
-    matching cover colors.
-
-    It is a named tuple: immutable and hashable, built with no per-field
-    assignment, and also iterable and orderable, and equal to the plain
-    tuple ``(vertices, labels)``."""
-
-    vertices: tuple[int, ...]
-    labels: tuple[int, ...]
-
-
-def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[SaturatedChain]:
+def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[tuple[int, ...]]:
     """The chains of :func:`saturated_chains`, each a prefix from the bottom
     joined to a suffix to the top at the rank ``half`` above the bottom:
     ``span // 2``, or the whole span below 4, where suffix lists cost more
@@ -423,10 +414,12 @@ def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[Saturate
     one integer pass down the interval's ``layers`` (no sort) count the
     chains from each vertex to the top; more than ``cap`` chains from the
     bottom then raise :class:`ChainCapError` before any prefix or suffix is
-    built.  The prefixes grow up from the bottom rank by rank, and the
-    suffix lists down the layers from just below the top to the middle
-    rank; both extend along the covers in increasing color order, so the
-    joined chains come out in label order."""
+    built.  A prefix is its last vertex and its labels, and a suffix its
+    labels alone: at most one cover of each color leaves a vertex, so the
+    labels fix every vertex.  The prefixes grow up from the bottom rank by
+    rank, and the suffix lists down the layers from just below the top to
+    the middle rank; both extend along the covers in increasing color
+    order, so the joined chains come out in label order."""
     rank = itv.rank
     span = rank[top] - rank[bottom]
     degree, bound = max(map(len, itv.fwd)), 1
@@ -443,31 +436,32 @@ def _chains(itv: CrystalGraph, bottom: int, top: int, cap: int) -> list[Saturate
             raise ChainCapError(f"chain cap {cap} exceeded")
     up = [sorted(covers.items()) for covers in itv.fwd]  # (color, cover) by color
     half = span if span < 4 else span // 2
-    prefixes = [((bottom,), ())]
+    prefixes = [(bottom, ())]
     for _ in range(half):
-        prefixes = [((*p, w), (*l, i)) for p, l in prefixes for i, w in up[p[-1]]]
+        prefixes = [(w, (*l, i)) for x, l in prefixes for i, w in up[x]]
     if half == span:  # every prefix ends at the top
-        return [SaturatedChain(p, l) for p, l in prefixes]
+        return [l for _, l in prefixes]
     middle = rank[bottom] + half
-    suffix: list[list] = [[]] * len(itv)  # x -> (vertices, labels) of each chain x..top
-    suffix[top] = [((), ())]
+    suffix: list[list[tuple[int, ...]]] = [[]] * len(itv)  # x -> labels of each chain x..top
+    suffix[top] = [()]
     for layer in reversed(itv.layers[middle : rank[top]]):
         for x in layer:
-            suffix[x] = [((w, *sv), (i, *sl)) for i, w in up[x] for sv, sl in suffix[w]]
-    return [SaturatedChain(p + sv, l + sl) for p, l in prefixes for sv, sl in suffix[p[-1]]]
+            suffix[x] = [(i, *s) for i, w in up[x] for s in suffix[w]]
+    return [l + s for x, l in prefixes for s in suffix[x]]
 
 
-def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[SaturatedChain]:
-    """All maximal chains from bottom to top, sorted by labels, with no
-    move-class pass: prefixes from the bottom joined to suffixes to the top
-    at the middle rank (see :func:`_chains`).  More than ``cap`` chains
-    raise :class:`ChainCapError` before any prefix, suffix or chain is
-    built: the chains are counted first wherever the largest out-degree to
-    the power of the span exceeds ``cap``, and elsewhere that power bounds
-    them.  A graph without a unique minimum or maximum raises ValueError.
+def saturated_chains(itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP) -> list[tuple[int, ...]]:
+    """All maximal chains from bottom to top, each as its word of cover
+    colors, which fixes its vertices, sorted, with no move-class pass:
+    prefixes from the bottom joined to suffixes to the top at the middle
+    rank (see :func:`_chains`).  More than ``cap`` chains raise
+    :class:`ChainCapError` before any prefix, suffix or chain is built: the
+    chains are counted first wherever the largest out-degree to the power
+    of the span exceeds ``cap``, and elsewhere that power bounds them.  A
+    graph without a unique minimum or maximum raises ValueError.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
-    >>> [c.labels for c in saturated_chains(itv)]
+    >>> saturated_chains(itv)
     [(1, 2, 2, 3), (2, 1, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1)]
     >>> saturated_chains(itv, cap=3)
     Traceback (most recent call last):
@@ -665,16 +659,17 @@ def move_class_summary(itv: CrystalGraph, cap: int) -> list[tuple[int, tuple[int
 
 def stembridge_components(
     itv: CrystalGraph, cap: int = DEFAULT_CHAIN_CAP
-) -> tuple[list[SaturatedChain], list[list[int]]]:
-    """All saturated chains, sorted by labels, and the components of their
-    move graph as sorted lists of chain indices, ordered by first chain.
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """All saturated chains as label words, sorted, and the components of
+    their move graph as sorted lists of chain indices, ordered by first
+    chain.
 
     The class table of :func:`_move_classes` comes first, then the chains
     of :func:`saturated_chains`, split at the middle rank (see
     :func:`_chains`); no class is carried while they are listed.  A chain's
     component is its move class at the top.  When the top has one class,
     every chain is in it; otherwise :func:`_top_class` walks each chain's
-    class up the table.  More than ``MOVE_CLASS_CAP`` class records raise
+    labels up the table.  More than ``MOVE_CLASS_CAP`` class records raise
     :class:`ChainCapError`, and so do more than ``cap`` chains, after the
     class pass and before any prefix, suffix or chain is built; they are
     counted only where the largest out-degree to the power of the span
@@ -682,8 +677,7 @@ def stembridge_components(
     unique minimum or maximum raises ValueError.
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
-    >>> chains, components = stembridge_components(itv)
-    >>> [c.labels for c in chains], components
+    >>> stembridge_components(itv)
     ([(1, 2, 2, 3), (2, 1, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1)], [[0], [1, 2], [3]])
     """
     bottom, top = _ends(itv)
@@ -692,8 +686,8 @@ def stembridge_components(
     if count[top] == 1:
         return chains, [list(range(len(chains)))]
     members: dict[int, list[int]] = {}  # class at the top -> chain indices
-    for k, chain in enumerate(chains):
-        members.setdefault(_top_class(itv, carry, chain.labels), []).append(k)
+    for k, labels in enumerate(chains):
+        members.setdefault(_top_class(itv, carry, labels), []).append(k)
     # each list is increasing, so sorting orders them by first chain
     return chains, sorted(members.values())
 

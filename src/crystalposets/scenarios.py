@@ -121,8 +121,8 @@ def s1_base_interval(crystal: CrystalLookup, interval: IntervalLookup) -> Certif
         "mobius": poset.interval_mobius(itv),
         "euler": poset.euler_mobius(itv),
         "vertices": len(itv),
-        "chain_label_multiset": sorted(chains[0].labels)
-        if all(sorted(c.labels) == sorted(chains[0].labels) for c in chains)
+        "chain_label_multiset": sorted(chains[0])
+        if all(sorted(c) == sorted(chains[0]) for c in chains)
         else None,
     }
     return _certify(

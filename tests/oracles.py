@@ -15,9 +15,12 @@ length comparisons as a reference for the package's left-descent test.
 The signature rule keeps its symbol-stack form, with both surviving words
 and the raising operator e_i, as the reference for the package's counting
 scan in ``apply_f``; the chain moves are enumerated chain by chain, as the
-reference for the package's rank-order move classes.  Coxeter length, the
-left weak order test, reduced words (with their cap) and the adapted-string
-check of the key table live here too: only tests call them.  Key fibers keep
+reference for the package's rank-order move classes.  The chain search
+and the move search key each chain by its vertex path and return label
+words, as the package does, without assuming that the labels fix a
+chain.  Coxeter length, the left weak order test, reduced words (with
+their cap) and the adapted-string check of the key table live here too:
+only tests call them.  Key fibers keep
 their pairwise form (one up-set per vertex, a middle-element search per
 relation), as the reference for the package's down-set masks, and the
 Demazure subcrystals are built by the classical f_i-string recursion over
@@ -46,7 +49,6 @@ from crystalposets.crystal import (
     graph_to_json,
 )
 from crystalposets.keymap import Fiber, KeyReport
-from crystalposets.poset import SaturatedChain
 
 
 # -- symmetric group ----------------------------------------------------------
@@ -655,33 +657,44 @@ def brute_stembridge_axioms(graph: CrystalGraph) -> AxiomReport:
     return AxiomReport(True)
 
 
-def brute_saturated_chains(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP):
-    """All maximal chains, each stack entry carrying its own copies of the
-    vertex and label tuples, sorted by labels at the end."""
-    chains: list[SaturatedChain] = []
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((itv.minimum,), ())]
+ChainPath = tuple[tuple[int, ...], tuple[int, ...]]  # (vertices, labels)
+
+
+def brute_chain_paths(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP) -> list[ChainPath]:
+    """All maximal chains as (vertex path, labels) pairs, each stack entry
+    carrying its own copies of the two tuples, sorted by labels at the end.
+    The search keeps the vertices, so it does not rely on the labels fixing
+    a chain."""
+    chains: list[ChainPath] = []
+    stack: list[ChainPath] = [((itv.minimum,), ())]
     while stack:
         verts, labels = stack.pop()
         last = verts[-1]
         if last == itv.maximum:
-            chains.append(SaturatedChain(verts, labels))
+            chains.append((verts, labels))
             if len(chains) > cap:
                 raise poset.ChainCapError(f"chain cap {cap} exceeded")
             continue
         for i, nxt in sorted(itv.fwd[last].items(), reverse=True):
             stack.append((verts + (nxt,), labels + (i,)))
-    chains.sort(key=lambda c: c.labels)
+    chains.sort(key=lambda c: c[1])
     return chains
 
 
-def stembridge_moves(chain: SaturatedChain, itv: CrystalGraph) -> list[tuple[int, SaturatedChain]]:
-    """All (position, chain) obtainable from ``chain`` by one move: swap a
-    length-2 segment when the square with transposed colors closes at the
-    same endpoints, or a length-4 segment with color pattern (a, b, b, a)
-    when the transposed hexagon side exists with the same endpoints.
+def brute_saturated_chains(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP):
+    """The label words of :func:`brute_chain_paths`, in its order."""
+    return [labels for _, labels in brute_chain_paths(itv, cap)]
+
+
+def stembridge_moves(chain: ChainPath, itv: CrystalGraph) -> list[tuple[int, ChainPath]]:
+    """All (position, chain) obtainable from the (vertices, labels) pair
+    ``chain`` by one move: swap a length-2 segment when the square with
+    transposed colors closes at the same endpoints, or a length-4 segment
+    with color pattern (a, b, b, a) when the transposed hexagon side exists
+    with the same endpoints.
     """
-    out: list[tuple[int, SaturatedChain]] = []
-    verts, labels = chain.vertices, chain.labels
+    out: list[tuple[int, ChainPath]] = []
+    verts, labels = chain
     for p in range(len(labels) - 1):
         a, b = labels[p], labels[p + 1]
         if a == b:
@@ -691,7 +704,7 @@ def stembridge_moves(chain: SaturatedChain, itv: CrystalGraph) -> list[tuple[int
         if mid is not None and itv.fwd[mid].get(a) == end:
             out.append((
                 p,
-                SaturatedChain(
+                (
                     verts[: p + 1] + (mid,) + verts[p + 2 :],
                     labels[:p] + (b, a) + labels[p + 2 :],
                 ),
@@ -707,7 +720,7 @@ def stembridge_moves(chain: SaturatedChain, itv: CrystalGraph) -> list[tuple[int
         if z3 is not None and itv.fwd[z3].get(b) == end:
             out.append((
                 p,
-                SaturatedChain(
+                (
                     verts[: p + 1] + (z1, z2, z3) + verts[p + 4 :],
                     labels[:p] + (b, a, a, b) + labels[p + 4 :],
                 ),
@@ -717,13 +730,14 @@ def stembridge_moves(chain: SaturatedChain, itv: CrystalGraph) -> list[tuple[int
 
 def brute_move_components(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP):
     """(chains, components) of the move graph by breadth-first search over
-    ``stembridge_moves`` neighbours: components as sorted lists of indices
-    into the label-sorted chain list, ordered by first chain."""
-    chains = brute_saturated_chains(itv, cap)
-    key = {c.vertices: k for k, c in enumerate(chains)}
-    seen = [False] * len(chains)
+    ``stembridge_moves`` neighbours, keyed by vertex path: the label words
+    of :func:`brute_chain_paths`, and the components as sorted lists of
+    indices into them, ordered by first chain."""
+    paths = brute_chain_paths(itv, cap)
+    key = {verts: k for k, (verts, _) in enumerate(paths)}
+    seen = [False] * len(paths)
     components: list[list[int]] = []
-    for start in range(len(chains)):
+    for start in range(len(paths)):
         if seen[start]:
             continue
         comp = [start]
@@ -731,14 +745,14 @@ def brute_move_components(itv: CrystalGraph, cap: int = poset.DEFAULT_CHAIN_CAP)
         queue = deque([start])
         while queue:
             k = queue.popleft()
-            for _, moved in stembridge_moves(chains[k], itv):
-                m = key[moved.vertices]
+            for _, (moved, _) in stembridge_moves(paths[k], itv):
+                m = key[moved]
                 if not seen[m]:
                     seen[m] = True
                     comp.append(m)
                     queue.append(m)
         components.append(sorted(comp))
-    return chains, components
+    return [labels for _, labels in paths], components
 
 
 def list_graph_to_json(graph: CrystalGraph) -> dict:

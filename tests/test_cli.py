@@ -20,6 +20,15 @@ EXPORT_DIGEST = "27d5159d28a16c615a6a64d361e52177c3836dfddb1d062e94c56c10d38e5cf
 # 1,274 vertices, 3,414 covers
 FIBER_DIGEST = "c02358900cf24378be00282fcd2eb3e90d8b745935b5fde580a76216c049e455"
 
+# sha256 of the stdout of `chains` on the s2[n=6] endpoints (TWO_ROW_ARGS),
+# 9,014 chains, in the human and the JSON format
+CHAINS_DIGEST = "6cabfafa439b36987701ea06c013d2f2550d1cdd8146a1d34bd03d0a76bb3133"
+CHAINS_JSON_DIGEST = "a79b68e9d6286f297e530e22f23b978933a9861e33cbdc29f7373325f9e56a4d"
+TWO_ROW_ARGS = [
+    "--shape", "7,6", "--n", "7",
+    "--u", "1,1,1,2,3,4,5/2,3,4,5,6,7", "--v", "1,1,2,3,4,5,6/3,4,5,6,7,7",
+]
+
 FIG_ARGS = [
     "--shape", "4,3", "--n", "4",
     "--u", "1,1,1,2/2,3,4", "--v", "1,1,2,3/3,4,4",
@@ -114,6 +123,15 @@ def test_chains(capsys):
     code, out, _ = run(capsys, "chains", *FIG_ARGS)
     assert code == 0
     assert out.split() == ["1223", "2132", "2312", "3221"]
+
+
+def test_chains_digest(capsys):
+    # the chain list printed as label words, byte for byte
+    for extra, digest in (([], CHAINS_DIGEST), (["--format", "json"], CHAINS_JSON_DIGEST)):
+        code, out, _ = run(capsys, "chains", *TWO_ROW_ARGS, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out.count("],") == 9013 and len(json.loads(out)) == 9014
 
 
 def test_chain_components(capsys):

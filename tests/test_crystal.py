@@ -862,6 +862,17 @@ def test_json_import_shares_equal_rows(graphs):
             assert len(set(map(id, rows))) == len(set(rows))
 
 
+def test_json_import_shares_cover_targets():
+    # one int object per vertex, as in a generated graph: B((5,4),6)'s text
+    # parsed to 17,870 distinct target objects for 5,880 vertices before the
+    # import mapped each target through one list of vertex ids
+    text = json.dumps(graph_to_json(generate((5, 4), 6)))
+    for h in (graph_from_json(text), graph_from_json(json.loads(text))):
+        targets = [b for covers in h.fwd for b in covers.values()]
+        assert len(targets) == 18150
+        assert len(set(map(id, targets))) <= len(h) == 5880
+
+
 def test_json_import_holds_one_copy():
     # the tracemalloc peak of importing B((5,4),6)'s text, over what the
     # graph keeps: 5.24 MiB while the import kept the parsed lists and a

@@ -442,16 +442,15 @@ def test_chain_interval_has_one_chain(g43):
     itv = interval(g43, u, v)
     assert len(itv) == 4 and itv.span == 3
     chains = saturated_chains(itv)
-    assert len(chains) == 1
-    assert chains[0].labels == (2, 2, 2)
+    assert chains == [(2, 2, 2)]
 
 
 def test_base_interval_chain_labels(base_interval):
     chains = saturated_chains(base_interval)
     assert len(chains) == 4
     for c in chains:
-        assert sorted(c.labels) == [1, 2, 2, 3]
-        assert Counter(c.labels) == Counter(
+        assert sorted(c) == [1, 2, 2, 3]
+        assert Counter(c) == Counter(
             {i: m for i, m in base_interval.budget.items() if m}
         )
 
@@ -464,7 +463,7 @@ def test_all_chains_share_budget_multiset(graphs):
         for u, v in oracles.comparable_pairs_sample(g, 25, seed=rng.randrange(9999)):
             itv = interval(g, u, v)
             for c in saturated_chains(itv, cap=100_000):
-                assert Counter(c.labels) == Counter(
+                assert Counter(c) == Counter(
                     {i: m for i, m in itv.budget.items() if m}
                 )
 
@@ -476,7 +475,8 @@ def test_chain_cap(base_interval):
 
 def test_moves_on_diamond(g43):
     itv = diamond_interval(g43)
-    chains = saturated_chains(itv)
+    chains = oracles.brute_chain_paths(itv)
+    assert [labels for _, labels in chains] == saturated_chains(itv)
     assert len(chains) == 2
     moves = oracles.stembridge_moves(chains[0], itv)
     assert len(moves) == 1
@@ -487,7 +487,7 @@ def test_moves_on_diamond(g43):
 
 
 def test_move_involution_and_symmetry(base_interval):
-    for chain in saturated_chains(base_interval):
+    for chain in oracles.brute_chain_paths(base_interval):
         for pos, moved in oracles.stembridge_moves(chain, base_interval):
             assert (pos, chain) in oracles.stembridge_moves(moved, base_interval)
 
@@ -498,23 +498,18 @@ def test_hexagon_move(g43):
     u = g43.index[((1, 1, 1, 2), (2, 3, 4))]
     top = g43.index[((1, 2, 2, 3), (3, 3, 4))]
     itv = interval(g43, u, top)
-    chains = saturated_chains(itv)
-    by_labels = {c.labels: c for c in chains}
+    by_labels = {c[1]: c for c in oracles.brute_chain_paths(itv)}
     first = by_labels[(1, 2, 2, 1)]
     moved = dict(oracles.stembridge_moves(first, itv))
-    assert 0 in moved and moved[0].labels == (2, 1, 1, 2)
+    assert 0 in moved and moved[0][1] == (2, 1, 1, 2)
 
 
 def test_components_of_base_interval(base_interval):
     chains, comps = stembridge_components(base_interval)
     assert len(comps) >= 2
     assert sorted(len(c) for c in comps) == [1, 1, 2]
-    increasing = next(c for c in chains if c.labels == (1, 2, 2, 3))
-    decreasing = next(c for c in chains if c.labels == (3, 2, 2, 1))
-    of = {
-        chains[k].vertices: ci for ci, comp in enumerate(comps) for k in comp
-    }
-    assert of[increasing.vertices] != of[decreasing.vertices]
+    of = {chains[k]: ci for ci, comp in enumerate(comps) for k in comp}
+    assert of[(1, 2, 2, 3)] != of[(3, 2, 2, 1)]
 
 
 def test_lower_intervals_connected_sample(g32):
@@ -524,13 +519,15 @@ def test_lower_intervals_connected_sample(g32):
         assert len(comps) == 1
 
 
+SMALL_MATRIX = (((2, 1), 3), ((3, 2), 4), ((2, 2), 4))  # the three smallest matrix graphs
+
+
 def _move_class_cases(graphs):
     """(graph, sources): every source of the three smallest matrix graphs,
     and the minimum of B((4,3),4) and of every matrix graph's reverse."""
-    small = (((2, 1), 3), ((3, 2), 4), ((2, 2), 4))
     for key in DEFAULT_MATRIX:
         g = graphs[key]
-        yield g, range(len(g)) if key in small else [g.minimum]
+        yield g, range(len(g)) if key in SMALL_MATRIX else [g.minimum]
         h = g.reverse()
         yield h, [h.minimum]
 
@@ -539,7 +536,7 @@ def _check_summary(itv, brute):
     """move_class_summary against a brute-force result, whose chains are
     sorted by labels and components by first chain; and its chain cap."""
     chains, components = brute
-    expected = [(len(comp), chains[comp[0]].labels) for comp in components]
+    expected = [(len(comp), chains[comp[0]]) for comp in components]
     assert move_class_summary(itv, len(chains)) == expected
     with pytest.raises(ChainCapError, match=f"^chain cap {len(chains) - 1} exceeded$"):
         move_class_summary(itv, len(chains) - 1)
@@ -623,10 +620,20 @@ def _corpus_intervals(count):
         yield free_interval(u, _random_f_walk(rng, u, n, rng.randint(2, 8)), n)
 
 
+def _walk(itv, labels):
+    """The vertex path of the chain with these labels, walked up ``fwd``
+    from the bottom."""
+    path = [itv.minimum]
+    for i in labels:
+        path.append(itv.fwd[path[-1]][i])
+    return tuple(path)
+
+
 def _query_corpus(count):
     """sha256 over ``count`` seeded queries of the library path: each
-    interval's export and its lower covers in stored order, mu, the chains
-    and the components; plus the total chain count and the number of
+    interval's export and its lower covers in stored order, mu, each chain
+    as its vertex path (walked from its labels by :func:`_walk`) and its
+    labels, and the components; plus the total chain count and the number of
     queries with two or more components (see :func:`_corpus_intervals`)."""
     digest = hashlib.sha256()
     chains_total = multi = 0
@@ -635,7 +642,7 @@ def _query_corpus(count):
         chains, components = stembridge_components(itv)
         record = [
             interval_to_json(itv), [list(covers.items()) for covers in itv.bwd], mu,
-            [[c.vertices, c.labels] for c in chains], components,
+            [[_walk(itv, c), c] for c in chains], components,
         ]
         digest.update(json.dumps(record, sort_keys=True).encode())
         chains_total += len(chains)
@@ -664,12 +671,12 @@ def test_class_walk_groups_the_chains_as_the_components():
         classes, class_of = poset._class_summaries(itv, poset.DEFAULT_CHAIN_CAP)
         members = {}
         for k, chain in enumerate(chains):
-            members.setdefault(class_of(chain.labels), []).append(k)
+            members.setdefault(class_of(chain), []).append(k)
         assert sorted(members) == list(range(len(classes)))
         assert sorted(members.values()) == components
         if itv.span:  # a walk can stop at the lowest tableau
-            assert class_of(chains[0].labels[:-1]) is None
-            assert class_of((itv.n, *chains[0].labels[1:])) is None
+            assert class_of(chains[0][:-1]) is None
+            assert class_of((itv.n, *chains[0][1:])) is None
         multi += len(components) >= 2
     assert multi == 8
 
@@ -837,25 +844,28 @@ def test_move_class_cap(monkeypatch):
         move_class_summary(itv, 374)
 
 
-def test_refused_chain_cap_builds_no_chain(monkeypatch):
-    # s2[n=5]: 374 chains; the cap is checked before the first chain is built
+def test_refused_chain_cap_builds_no_chain():
+    # s2[n=5]: 374 chains; the cap is checked before the first prefix, suffix
+    # or chain is built.  The lister reads each vertex's covers by
+    # ``items()`` once, after the count check, and nothing else on the chain
+    # paths calls it, so counting those calls shows whether listing began
+    calls = []
+
+    class Covers(dict):
+        def items(self):
+            calls.append(1)
+            return super().items()
+
     itv = free_interval(*scenarios._two_row_endpoints(5), 6)
-    built = []
-    real = poset.SaturatedChain
-
-    def counting(vertices, labels):
-        built.append(labels)
-        return real(vertices, labels)
-
-    monkeypatch.setattr(poset, "SaturatedChain", counting)
+    itv.fwd = tuple(map(Covers, itv.fwd))
     for call in (saturated_chains, stembridge_components):
         with pytest.raises(ChainCapError, match="^chain cap 373 exceeded$"):
             call(itv, cap=373)
-        assert built == []
-    assert len(saturated_chains(itv, cap=374)) == len(built) == 374
-    built.clear()
+        assert calls == []
+    assert len(saturated_chains(itv, cap=374)) == 374 and len(calls) == len(itv)
+    calls.clear()
     chains, components = stembridge_components(itv, cap=374)
-    assert len(chains) == len(built) == 374 and len(components) == 9
+    assert len(chains) == 374 and len(components) == 9 and len(calls) == len(itv)
 
 
 def _five_chain_graph():
@@ -885,22 +895,41 @@ def test_chain_cap_bound_holds_on_any_graph():
     assert (one.minimum, one.maximum) == (0, 0)
     with pytest.raises(ChainCapError, match="^chain cap 0 exceeded$"):
         saturated_chains(one, cap=0)
-    assert saturated_chains(one, cap=1) == [((0,), ())]
+    assert saturated_chains(one, cap=1) == [()]
 
 
-def test_saturated_chain_record(base_interval):
+def test_saturated_chains_are_label_words(base_interval):
+    # a chain is the plain tuple of its cover colors; walking them up the
+    # covers from the bottom ends at the top
     chains = saturated_chains(base_interval)
-    chain = chains[1]
-    assert chain.vertices[0] == base_interval.minimum
-    assert chain.vertices[-1] == base_interval.maximum
-    assert chain.labels == (2, 1, 3, 2) and len(chain.vertices) == 5
-    with pytest.raises(AttributeError):
-        chain.labels = ()
-    with pytest.raises(AttributeError):
-        chain.vertices = ()
-    twin = poset.SaturatedChain(tuple(chain.vertices), tuple(chain.labels))
-    assert twin == chain and hash(twin) == hash(chain)
-    assert twin == (chain.vertices, chain.labels) and len({twin, chain}) == 1
+    assert chains == [(1, 2, 2, 3), (2, 1, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1)]
+    assert all(type(c) is tuple and all(type(i) is int for i in c) for c in chains)
+    assert len(set(chains)) == 4
+    paths = [_walk(base_interval, c) for c in chains]
+    assert len(set(paths)) == 4
+    assert all(p[-1] == base_interval.maximum and len(p) == 5 for p in paths)
+    assert stembridge_components(base_interval)[0] == chains
+
+
+def test_label_words_retrace_the_oracle_paths(graphs):
+    # on every interval of the three smallest matrix crystals and on the 400
+    # corpus intervals, each chain's labels walk up the covers from the
+    # bottom along the oracle's vertex path for that chain, to the top:
+    # 1,010 intervals with 5,917 chains, and 400 with 28,414
+    cases = [
+        interval(g, u, v)
+        for g in map(graphs.__getitem__, SMALL_MATRIX)
+        for u in range(len(g))
+        for v in sorted(oracles.brute_upset(g, u))
+    ]
+    cases += _corpus_intervals(400)
+    chains = 0
+    for itv in cases:
+        walked = [_walk(itv, c) for c in saturated_chains(itv)]
+        assert walked == [path for path, _ in oracles.brute_chain_paths(itv)]
+        assert all(path[-1] == itv.maximum for path in walked)
+        chains += len(walked)
+    assert (len(cases), chains) == (1410, 5917 + 28414)
 
 
 @pytest.mark.parametrize("call", [saturated_chains, stembridge_components])
@@ -920,6 +949,21 @@ def test_refused_chain_cap_stays_small(call):
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+
+def test_listed_chains_hold_labels_alone():
+    # s2[n=7]: 323,823 chains of span 12.  Each is its label tuple, about
+    # 146 B, so listing peaks near 47 MiB; a vertex tuple beside each,
+    # wrapped in a record, peaked at 112 MiB
+    itv = free_interval(*scenarios._two_row_endpoints(7), 8)
+    tracemalloc.start()
+    try:
+        chains = saturated_chains(itv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chains) == 323823
+    assert peak < 64 << 20
 
 
 def _split_case(case):
