@@ -76,6 +76,7 @@ DEFAULT_CHAIN_CAP = 10_000_000
 MOVE_CLASS_CAP = 10_000_000  # class records of one move-class pass
 DOWN_SET_BIT_CAP = 1 << 30  # vertices reached times members in one down-set pass
 EULER_VERTEX_CAP = 1_000  # interval vertices of the dense Euler cross-check
+SLOT_CAP = 10_000_000  # budget entries that one interval search keeps, 8 B each
 
 
 class ChainCapError(RuntimeError):
@@ -135,8 +136,25 @@ def _extract(
     ``fwd`` are built here; :class:`CrystalGraph` inverts them into
     ``bwd``, which lists each vertex's lower covers by increasing local
     index, and derives the bottom and top.
+
+    Each id keeps one budget entry per budgeted color, so the search is
+    capped in those entries: its vertex limit is ``min(DEFAULT_VERTEX_CAP,
+    SLOT_CAP // len(colors))``, and an id past it raises
+    :class:`GraphSizeError`.  ``SLOT_CAP`` (10^7) admits 80 MB of list
+    slots at 8 B each.  A budget of ``limit`` steps or more raises before
+    the search: a chain of [u, v] alone would hold more than ``limit``
+    vertices, so such a pair is refused whether or not it is comparable.
+    A one-row interval [1, n] has n - 1 budgeted colors and n vertices, so
+    one past n = 3,162 is refused at once.
     """
     colors = [i for i, cap in budget.items() if cap]
+    limit = min(DEFAULT_VERTEX_CAP, SLOT_CAP // max(1, len(colors)))
+    steps = sum(budget.values())
+    if steps >= limit:
+        raise GraphSizeError(
+            f"interval vertex cap {limit} exceeded: "
+            f"a chain of {steps} covers has {steps + 1} vertices"
+        )
     keys = [u_key]
     ids = {u_key: 0}
     left = [[budget[i] for i in colors]]  # per id, the budget not yet used
@@ -151,8 +169,10 @@ def _extract(
             b = ids.get(y)
             if b is None:
                 b = len(keys)
-                if b >= DEFAULT_VERTEX_CAP:
-                    raise GraphSizeError(f"interval vertex cap {DEFAULT_VERTEX_CAP} exceeded")
+                if b >= limit:
+                    raise GraphSizeError(
+                        f"interval vertex cap {limit} exceeded ({len(colors)} budgeted colors)"
+                    )
                 ids[y] = b
                 keys.append(y)
                 nxt = rest.copy()
@@ -278,7 +298,10 @@ def mobius_from(graph: CrystalGraph, source: int) -> list[int]:
     masks and holds one bit per vertex y < z with nonzero mu(source, y); a
     vertex takes the next free bit only when its own value is nonzero.
     Zero terms add nothing, so this is exact, and the masks stay as small
-    as the support of mu instead of growing to O(V^2) bits.
+    as the support of mu instead of growing to O(V^2) bits.  Two more masks
+    hold the bits of value +1 and of value -1, so the sum over a mask is
+    two popcounts, and only the bits of any other value are read one by one
+    (:func:`_mobius_upset`).
 
     >>> itv = free_interval(((1, 1, 1, 2), (2, 3, 4)), ((1, 1, 2, 3), (3, 4, 4)), 4)
     >>> mid = itv.fwd[itv.minimum][1]
@@ -291,11 +314,18 @@ def mobius_from(graph: CrystalGraph, source: int) -> list[int]:
 
 def _mobius_upset(graph: CrystalGraph, source: int) -> tuple[list[int], list[int]]:
     """The up-set of source in rank order, from :func:`_upset`, and the
-    values of :func:`mobius_from`, which are 0 off that up-set."""
+    values of :func:`mobius_from`, which are 0 off that up-set.
+
+    ``plus`` and ``minus`` hold the bits whose vertex has mu +1 and -1, so
+    z's value is ``(mask & minus).bit_count() - (mask & plus).bit_count()``
+    less the mu of each bit of ``mask & other``, the bits of any other
+    value.  From a crystal's minimum, where mu lies in {0, +1, -1} (the s6
+    certificate), ``other`` stays empty."""
     order = _upset(graph, source)
     mu = [0] * len(graph)
     down = [0] * len(graph)
     owner: list[int] = []  # owner[k] is the vertex holding bit k
+    plus = minus = other = 0  # the bits of value +1, of -1, and of any other
     bwd = graph.bwd
     for z in order:
         mask = 0
@@ -304,15 +334,22 @@ def _mobius_upset(graph: CrystalGraph, source: int) -> tuple[list[int], list[int
         if z == source:
             value = 1
         else:
-            value = 0
-            rest = mask
+            value = (mask & minus).bit_count() - (mask & plus).bit_count()
+            rest = mask & other
             while rest:
                 bit = rest & -rest
                 value -= mu[owner[bit.bit_length() - 1]]
                 rest ^= bit
         if value:
-            mask |= 1 << len(owner)
+            bit = 1 << len(owner)
             owner.append(z)
+            mask |= bit
+            if value == 1:
+                plus |= bit
+            elif value == -1:
+                minus |= bit
+            else:
+                other |= bit
         mu[z] = value
         down[z] = mask
     return order, mu

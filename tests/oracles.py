@@ -5,13 +5,16 @@ Nothing here shares an algorithm with the package: orders are computed by
 explicit breadth-first closures over cover relations, joins by scanning all
 common upper bounds, tableau counts by direct column-filling enumeration,
 intervals by unpruned up-set/down-set intersection, and Mobius values by
-the defining recursion over dictionaries.  Chain-move components are
-found by breadth-first search over every chain's move neighbours, which
-enumerates the move graph that the package's rank-order pass never builds.
-The local-axiom checker and the chain enumerator keep their earlier
-per-walk and copy-per-push forms here, as references for the package's
-string-table and path-stack versions, and the key-axiom checker keeps its
-length comparisons as a reference for the package's left-descent test.
+the defining recursion over dictionaries, with no bit masks.  Chain-move
+components are found by breadth-first search over every chain's move
+neighbours, which enumerates the move graph that the package's rank-order
+pass never builds.  The local-axiom checker and the chain enumerator keep
+their earlier per-walk and copy-per-push forms here, as references for the
+package's string-table and path-stack versions: ``string_stats`` walks
+each string from the vertex, the reference for the layer passes of
+``string_table``, and the checker tests P3 at j = i too, which the package
+skips.  The key-axiom checker keeps its length comparisons as a reference
+for the package's left-descent test.
 The signature rule keeps its symbol-stack form, with both surviving words
 and the raising operator e_i, as the reference for the package's counting
 scan in ``apply_f``; the chain moves are enumerated chain by chain, as the
@@ -423,6 +426,19 @@ def brute_mobius(graph: CrystalGraph, u: int, v: int) -> int:
         return memo[y]
 
     return mu(v)
+
+
+def brute_mobius_from(graph: CrystalGraph, u: int) -> list[int]:
+    """mu(u, z) for every vertex z, 0 where z is not above u: the recursion
+    of ``brute_mobius`` with one memo over the whole up-set of u, each
+    strict down-set re-walked by ``brute_downset``, vertices taken in rank
+    order so every lower value is known."""
+    members = brute_upset(graph, u)
+    mu = [0] * len(graph)
+    for y in sorted(members, key=graph.rank.__getitem__):
+        below = brute_downset(graph, y) & members
+        mu[y] = 1 if y == u else -sum(mu[z] for z in below if z != y)
+    return mu
 
 
 def comparable_pairs_sample(

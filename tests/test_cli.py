@@ -271,6 +271,19 @@ def test_argument_errors_exit_2(capsys):
     assert len(messages) == 1
 
 
+def test_one_row_interval_past_the_slot_cap_exits_2_at_once(capsys):
+    # [1, 20000] in B((1,), 20000): 19,999 budgeted colors give a vertex
+    # limit of 500, and its chain alone has 20,000 vertices, so the search,
+    # which tries every budgeted color at each id, never starts
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "mobius", "--shape", "1", "--n", "20000", "--u", "1", "--v", "20000"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: interval vertex cap 500 exceeded") and "Traceback" not in err
+
+
 def test_malformed_tableau_literal(capsys):
     code, _, err = run(capsys, "mobius", "--shape", "2,1", "--n", "3",
                        "--u", "2,1/1", "--v", "1,1/2")

@@ -335,11 +335,25 @@ def _mutants(g):
         yield mutant.reverse()
 
 
+def _oracle(h):
+    """The oracle's report on h.  The oracle tests P3 at j = i too, which
+    the checker skips (see test_p3_on_the_diagonal_cannot_fail), and never
+    reports a violation there."""
+    report = oracles.brute_stembridge_axioms(h)
+    assert not (report.axiom == "P3" and report.i == report.j)
+    return report
+
+
+MUTANT_KEYS = (((2, 1), 3), ((3, 2), 4), ((2, 2), 4))
+# (shape, n) and seed of each imported_mutants run of 100 mutants
+IMPORTED_SEEDS = ((((3, 2), 4), 13), (((4, 3), 4), 18), (((2, 2), 4), 10), (((3, 2, 1), 4), 8))
+
+
 def test_axioms_match_oracle_on_mutants(graphs):
     cases = 0
-    for key in (((2, 1), 3), ((3, 2), 4), ((2, 2), 4)):
+    for key in MUTANT_KEYS:
         for mutant in _mutants(graphs[key]):
-            assert check_stembridge_axioms(mutant) == oracles.brute_stembridge_axioms(mutant)
+            assert check_stembridge_axioms(mutant) == _oracle(mutant)
             cases += 1
     assert cases == 336
 
@@ -349,10 +363,10 @@ def test_axioms_match_oracle_on_imported_mutants():
     # hexagons that do not close), these seeds reach a raising square that
     # does not close and a hexagon whose top breaks the rise condition
     reports = Counter()
-    for key, seed in ((((3, 2), 4), 13), (((4, 3), 4), 18), (((2, 2), 4), 10), (((3, 2, 1), 4), 8)):
+    for key, seed in IMPORTED_SEEDS:
         for h in oracles.imported_mutants(generate(*key), seed, 100):
             report = check_stembridge_axioms(h)
-            assert report == oracles.brute_stembridge_axioms(h)
+            assert report == _oracle(h)
             reports[report.axiom, report.detail if report.axiom in ("P5", "P6") else ""] += 1
     assert reports == {
         (None, ""): 26,
@@ -518,14 +532,14 @@ def test_axioms_report_what_no_single_edge_mutant_reaches():
     # 1-string while 2 is the top of x's
     g = _direct_graph([(3, 1, 2), (3, 2, 1), (1, 0, 1), (2, 0, 2), (0, 4, 2), (0, 5, 1)])
     report = check_stembridge_axioms(g)
-    assert report == oracles.brute_stembridge_axioms(g)
+    assert report == _oracle(g)
     assert report == AxiomReport(False, "P5", 0, 1, 2, "rise condition at the top fails")
     # the color-1 cover 1 -> 0 lies two color-2 steps above the bottom of
     # its 2-string 3 -> 2 -> 1 -> 4, and 0 on none: delta-depth -2 and
     # delta-rise 1 sum to a_12 = -1, so P3 holds and P4 fails on the rise
     g = _direct_graph([(1, 0, 1), (3, 2, 2), (2, 1, 2), (1, 4, 2)])
     report = check_stembridge_axioms(g)
-    assert report == oracles.brute_stembridge_axioms(g)
+    assert report == _oracle(g)
     assert report == AxiomReport(False, "P4", 0, 1, 2, "positive difference (-2, 1)")
 
 
@@ -557,20 +571,60 @@ def test_axioms_report_the_first_violation_at_a_vertex(g32):
     ):
         g = _cut_with_b_first(g32, b, cut)
         report = check_stembridge_axioms(g)
-        assert report == oracles.brute_stembridge_axioms(g)
+        assert report == _oracle(g)
         assert (report.axiom, report.vertex, report.i, report.j) == witness
     # cutting the color-1 edge into b itself gives a P4 under i = 1 and a P3
     # under i = 3; each lower cover is checked in full before the next
     b = g32.index[((1, 2, 2), (3, 4))]
     g = _cut_with_b_first(g32, b, {(g32.bwd[b][1], b, 1)})
     report = check_stembridge_axioms(g)
-    assert report == oracles.brute_stembridge_axioms(g)
+    assert report == _oracle(g)
     assert (report.axiom, report.vertex, report.i, report.j) == ("P4", 0, 1, 3)
+
+
+def test_p3_on_the_diagonal_cannot_fail(graphs, g32):
+    # along a color-i cover a -> b, b = f_i(a) is one step further along
+    # a's i-string, so the i-rise and the i-depth both drop by one and
+    # phi_i - eps_i changes by exactly 2 = a_ii on any CrystalGraph: the
+    # checker skips j = i.  Here on every cover of the mutants above, the
+    # imported mutants and graphs with one cover cut at two vertices of
+    # B((3,2),4), where a violation may hide behind the first one reported
+    hs = [m for key in MUTANT_KEYS for m in _mutants(graphs[key])]
+    for key, seed in IMPORTED_SEEDS:
+        hs += oracles.imported_mutants(generate(*key), seed, 100)
+    for t in (((1, 2, 4), (3, 3)), ((1, 2, 2), (3, 4))):
+        b = g32.index[t]
+        into = [(a, x, i) for x in (b, *g32.bwd[b].values()) for i, a in g32.bwd[x].items()]
+        hs += [_cut_with_b_first(g32, b, {edge}) for edge in into]
+    for h in hs:
+        for a, b, i in h.edges:
+            above, below = oracles.string_stats(h, a, i), oracles.string_stats(h, b, i)
+            assert (above.rise - below.rise, above.depth - below.depth) == (1, 1)
+    assert len(hs) == 336 + 154 + 14
 
 
 def test_string_table_matches_string_stats(graphs):
     for g in [h for g in graphs.values() for h in (g, g.reverse())]:
         rise, depth = string_table(g)
+        for v in range(len(g)):
+            for i in g.colors:
+                assert oracles.string_stats(g, v, i) == oracles.StringStats(rise[i][v], depth[i][v])
+
+
+def test_string_table_matches_string_stats_off_generation_order(g43):
+    # the table passes down and up the layers; these graphs number their
+    # vertices otherwise than generate does: imports with edited covers
+    # (ranks renumbered from the sources) and their duals, intervals in
+    # (rank, tableau) order and their duals, and one-row crystals, whose
+    # every color is one cover
+    graphs = list(oracles.imported_mutants(generate((3, 2), 4), 13, 40))
+    for u, v in oracles.comparable_pairs_sample(g43, 10, 33):
+        itv = interval(g43, u, v)
+        graphs += [itv, itv.reverse()]
+    graphs += [generate((1,), n) for n in (2, 40)]
+    for g in graphs:
+        rise, depth = string_table(g)
+        assert list(rise) == list(depth) == list(g.colors)
         for v in range(len(g)):
             for i in g.colors:
                 assert oracles.string_stats(g, v, i) == oracles.StringStats(rise[i][v], depth[i][v])

@@ -267,6 +267,37 @@ def test_interval_vertex_cap(g43, monkeypatch):
         free_interval(bottom, top, 7)
 
 
+def test_interval_slot_cap(monkeypatch):
+    # each searched id keeps one budget entry per budgeted color, so the
+    # vertex limit is SLOT_CAP // colors: the one-row interval [1, n] has
+    # n - 1 colors and n vertices, and a budget whose chain alone passes
+    # the limit is refused before the search
+    def one_row(n):
+        return free_interval(((1,),), ((n,),), n)
+
+    monkeypatch.setattr(poset, "SLOT_CAP", 40 * 39)
+    assert len(one_row(40)) == 40
+    monkeypatch.setattr(poset, "SLOT_CAP", 40 * 39 - 1)
+    with pytest.raises(GraphSizeError, match="cap 39 exceeded: a chain of 39 covers"):
+        one_row(40)
+    # the base interval: 3 budgeted colors, span 4, 14 ids searched
+    monkeypatch.setattr(poset, "SLOT_CAP", 14 * 3)
+    assert len(free_interval(BASE_BOTTOM, BASE_TOP, 4)) == 12
+    monkeypatch.setattr(poset, "SLOT_CAP", 14 * 3 - 1)
+    with pytest.raises(GraphSizeError, match=r"cap 13 exceeded \(3 budgeted colors\)"):
+        free_interval(BASE_BOTTOM, BASE_TOP, 4)
+    # the limit never passes DEFAULT_VERTEX_CAP, which test_interval_vertex_cap pins
+    monkeypatch.setattr(poset, "SLOT_CAP", 10**12)
+    monkeypatch.setattr(poset, "DEFAULT_VERTEX_CAP", 13)
+    with pytest.raises(GraphSizeError, match="cap 13 exceeded"):
+        free_interval(BASE_BOTTOM, BASE_TOP, 4)
+    # at the shipped cap, one-row [1, n] is admitted up to n = 3,162
+    # (limit 10^7 // 3,161 = 3,163) and refused at once past it
+    monkeypatch.undo()
+    with pytest.raises(GraphSizeError, match="cap 3162 exceeded: a chain of 3162 covers"):
+        one_row(3163)
+
+
 def test_free_interval_rejects_n_outside_the_vertex_cap():
     # every weight and budget has n entries: an n out of range is a
     # ValueError before any is built, not an OverflowError or a huge list
@@ -296,6 +327,29 @@ def test_mobius_trivial_cases(g43):
 def test_mobius_base_interval(base_interval):
     assert interval_mobius(base_interval) == 2
     assert interval_mobius(free_interval(BASE_BOTTOM, BASE_TOP, 4)) == 2
+
+
+def test_mobius_beyond_unit_values_matches_the_brute_recursion():
+    # the base interval and the r = 2 and r = 3 composites reach mu = 2, 4
+    # and 8, values that _mobius_upset sums bit by bit past its +1 and -1
+    # masks.  From the bottom and from seeded sources every vertex agrees
+    # with oracles.brute_mobius_from (the defining recursion, one memo),
+    # which agrees with brute_mobius at every vertex for r <= 2 and at the
+    # top and a sample for r = 3
+    rng = random.Random(33)
+    for r in (1, 2, 3):
+        bottom, top, n = scenarios._composite_endpoints(r)
+        itv = free_interval(bottom, top, n)
+        sources = [itv.minimum, *rng.sample(range(len(itv)), 3)]
+        for s in sources:
+            mu = mobius_from(itv, s)
+            assert mu == oracles.brute_mobius_from(itv, s)
+            above = oracles.brute_upset(itv, s)
+            checked = range(len(itv)) if r < 3 else [itv.maximum, *rng.sample(sorted(above), 4)]
+            for z in checked:
+                assert mu[z] == (oracles.brute_mobius(itv, s, z) if z in above else 0)
+        mu = mobius_from(itv, itv.minimum)
+        assert mu[itv.maximum] == max(mu) == 2**r
 
 
 def test_euler_trivial_cases(g43):
